@@ -10,6 +10,7 @@
 package sptc_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -492,6 +493,24 @@ func BenchmarkPartitionSearchParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkProfile measures the §7 profiling run alone — edge,
+// dependence and value profiling in one interpreted execution — on mcf's
+// anticipated-level program, the suite's most expensive profile. Run it
+// with -benchmem: the allocations are the profiler's tables.
+func BenchmarkProfile(b *testing.B) {
+	prog := compiled(b, "mcf", core.LevelAnticipated).Prog
+	nests := make(map[*ir.Func]*ssa.LoopNest, len(prog.Funcs))
+	for _, f := range prog.Funcs {
+		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := profile.Run(context.Background(), prog, nests, io.Discard, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompile measures end-to-end compilation (parse → sem → IR →
 // profile → pass 1 → selection → transform → cleanup) of the full
 // benchmark suite at the best level, with the classic serial pass 1 and
@@ -874,10 +893,8 @@ func loopGraphFromSource(b *testing.B, src string) (*depgraph.Graph, *cost.Model
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof := profile.NewProfiler(prog, nests)
-	m := interp.New(prog, io.Discard)
-	m.Hooks = prof.Hooks()
-	if _, err := m.Run(); err != nil {
+	prof, err := profile.Run(context.Background(), prog, nests, io.Discard, 0)
+	if err != nil {
 		b.Fatal(err)
 	}
 	prof.Edge.Apply(prog)

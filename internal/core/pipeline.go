@@ -24,7 +24,6 @@ import (
 	"sptc/internal/cost"
 	"sptc/internal/depgraph"
 	"sptc/internal/incr"
-	"sptc/internal/interp"
 	"sptc/internal/ir"
 	"sptc/internal/parser"
 	"sptc/internal/partition"
@@ -910,7 +909,7 @@ func loopOverlaps(a, b *ssa.Loop) bool {
 
 // applySVP scans loops for predictable critical recurrences and rewrites
 // them (Figure 13). Returns whether anything changed.
-func applySVP(p *ir.Program, prof *profile.Profiler, opt Options, applied map[*ir.Block]bool) bool {
+func applySVP(p *ir.Program, prof *profile.Profiles, opt Options, applied map[*ir.Block]bool) bool {
 	prof.Edge.Apply(p)
 	effects := depgraph.ComputeEffects(p)
 	changed := false
@@ -994,23 +993,13 @@ func applySVP(p *ir.Program, prof *profile.Profiler, opt Options, applied map[*i
 	return changed
 }
 
-func runProfile(ctx context.Context, p *ir.Program, opt Options) (*profile.Profiler, error) {
+func runProfile(ctx context.Context, p *ir.Program, opt Options) (*profile.Profiles, error) {
 	nests := make(map[*ir.Func]*ssa.LoopNest, len(p.Funcs))
 	for _, f := range p.Funcs {
 		dom := ssa.BuildDomTree(f)
 		nests[f] = ssa.FindLoops(f, dom)
 	}
-	prof := profile.NewProfiler(p, nests)
-	m := interp.New(p, opt.ProfileOut)
-	m.Ctx = ctx
-	m.Hooks = prof.Hooks()
-	if opt.MaxProfileSteps > 0 {
-		m.MaxSteps = opt.MaxProfileSteps
-	}
-	if _, err := m.Run(); err != nil {
-		return nil, err
-	}
-	return prof, nil
+	return profile.Run(ctx, p, nests, opt.ProfileOut, opt.MaxProfileSteps)
 }
 
 func finishSSA(p *ir.Program, tk *trace.Track) {

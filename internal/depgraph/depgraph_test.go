@@ -1,10 +1,10 @@
 package depgraph_test
 
 import (
+	"context"
 	"testing"
 
 	"sptc/internal/depgraph"
-	"sptc/internal/interp"
 	"sptc/internal/ir"
 	"sptc/internal/parser"
 	"sptc/internal/profile"
@@ -14,7 +14,7 @@ import (
 
 // compileLoop builds src, runs SSA, profiles it, and returns the
 // dependence graph of the first loop in main plus supporting structures.
-func compileLoop(t *testing.T, src string, useProfile bool) (*depgraph.Graph, *ssa.Loop, *profile.Profiler) {
+func compileLoop(t *testing.T, src string, useProfile bool) (*depgraph.Graph, *ssa.Loop, *profile.Profiles) {
 	t.Helper()
 	p, err := parser.Parse("t.spl", src)
 	if err != nil {
@@ -34,10 +34,8 @@ func compileLoop(t *testing.T, src string, useProfile bool) (*depgraph.Graph, *s
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof := profile.NewProfiler(prog, nests)
-	m := interp.New(prog, discard{})
-	m.Hooks = prof.Hooks()
-	if _, err := m.Run(); err != nil {
+	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
 		t.Fatalf("profile run: %v", err)
 	}
 	prof.Edge.Apply(prog)
@@ -180,10 +178,8 @@ func secondLoopGraph(t *testing.T, src string, useProfile bool) *depgraph.Graph 
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof := profile.NewProfiler(prog, nests)
-	m := interp.New(prog, discard{})
-	m.Hooks = prof.Hooks()
-	if _, err := m.Run(); err != nil {
+	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	prof.Edge.Apply(prog)

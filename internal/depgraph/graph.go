@@ -586,14 +586,7 @@ func (g *Graph) buildMemoryEdges(cfg Config) {
 }
 
 func (g *Graph) buildProfiledMemEdges(cfg Config) {
-	keys := cfg.Dep.LoopPairs(g.Loop)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].W.ID != keys[j].W.ID {
-			return keys[i].W.ID < keys[j].W.ID
-		}
-		return keys[i].R.ID < keys[j].R.ID
-	})
-	for _, k := range keys {
+	for _, k := range cfg.Dep.LoopPairs(g.Loop) {
 		// Pairs whose endpoints are not loop-body statements arise from
 		// dependences through callees; the paper's framework could not
 		// attribute those to call sites either (its noted cost-model

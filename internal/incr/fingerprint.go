@@ -242,14 +242,7 @@ func (fp *Fingerprinter) Loop(l *ssa.Loop, cfg depgraph.Config, bodySize int) (u
 		for i, s := range stmts {
 			order[s] = i
 		}
-		keys := cfg.Dep.LoopPairs(l)
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].W.ID != keys[j].W.ID {
-				return keys[i].W.ID < keys[j].W.ID
-			}
-			return keys[i].R.ID < keys[j].R.ID
-		})
-		for _, k := range keys {
+		for _, k := range cfg.Dep.LoopPairs(l) {
 			wi, wok := order[k.W]
 			ri, rok := order[k.R]
 			if !wok || !rok {

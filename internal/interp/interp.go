@@ -53,8 +53,12 @@ type Frame struct {
 	Func   *ir.Func
 	Caller *Frame
 	Depth  int
-	Regs   map[*ir.Var]Value
-	ID     int64 // unique activation id
+	// Regs holds the activation's scalars, indexed by Var.ID and sized by
+	// Func.NumVars(); a variable read before any write is zero. It is a
+	// window of the machine's value stack, valid only while the frame is
+	// live: later calls reuse the slots once it returns.
+	Regs []Value
+	ID   int64 // unique activation id
 }
 
 // Machine executes a program.
@@ -70,6 +74,18 @@ type Machine struct {
 	Ctx context.Context
 
 	nextFrameID int64
+
+	// stack is the value stack frames carve their registers from; sp is
+	// its first free slot. When a frame does not fit, a larger stack
+	// replaces it: live frames keep their windows into the old array, so
+	// nothing is copied and caller registers stay put.
+	stack []Value
+	sp    int
+	// phiVals stages a block's phi values before any is written; args
+	// holds evaluated call arguments until the callee takes them. Both
+	// are reused across blocks and calls.
+	phiVals []Value
+	args    []Value
 }
 
 // ctxPollSteps is how often (in executed statements) the interpreter
@@ -105,7 +121,7 @@ func (m *Machine) Run() (Value, error) {
 
 // Call invokes f with the given arguments.
 func (m *Machine) Call(f *ir.Func, args []Value, caller *Frame) (Value, error) {
-	fr := &Frame{Func: f, Caller: caller, Regs: make(map[*ir.Var]Value), ID: m.nextFrameID}
+	fr := &Frame{Func: f, Caller: caller, ID: m.nextFrameID}
 	m.nextFrameID++
 	if caller != nil {
 		fr.Depth = caller.Depth + 1
@@ -113,11 +129,26 @@ func (m *Machine) Call(f *ir.Func, args []Value, caller *Frame) (Value, error) {
 	if fr.Depth > 10000 {
 		return Value{}, fmt.Errorf("interp: call stack overflow in %s", f.Name)
 	}
+	base, n := m.sp, f.NumVars()
+	if base+n > len(m.stack) {
+		m.stack = make([]Value, max(2*len(m.stack), base+n))
+	}
+	fr.Regs = m.stack[base : base+n : base+n]
+	clear(fr.Regs)
+	m.sp = base + n
 	for i, p := range f.Params {
 		if i < len(args) {
-			fr.Regs[p] = args[i]
+			fr.Regs[p.ID] = args[i]
 		}
 	}
+	v, err := m.exec(fr)
+	m.sp = base
+	return v, err
+}
+
+// exec runs fr's function body from its entry block.
+func (m *Machine) exec(fr *Frame) (Value, error) {
+	f := fr.Func
 	if m.Hooks.OnEnter != nil {
 		m.Hooks.OnEnter(fr)
 	}
@@ -132,15 +163,16 @@ func (m *Machine) Call(f *ir.Func, args []Value, caller *Frame) (Value, error) {
 			if pi < 0 {
 				return Value{}, fmt.Errorf("interp: %s: b%d entered from non-predecessor b%d", f.Name, blk.ID, prev.ID)
 			}
-			vals := make([]Value, len(phis))
-			for i, phi := range phis {
+			vals := m.phiVals[:0]
+			for _, phi := range phis {
 				if pi >= len(phi.PhiArgs) {
 					return Value{}, fmt.Errorf("interp: %s: phi arity mismatch in b%d", f.Name, blk.ID)
 				}
-				vals[i] = fr.Regs[phi.PhiArgs[pi]]
+				vals = append(vals, fr.Regs[phi.PhiArgs[pi].ID])
 			}
+			m.phiVals = vals
 			for i, phi := range phis {
-				fr.Regs[phi.Dst] = vals[i]
+				fr.Regs[phi.Dst.ID] = vals[i]
 				if m.Hooks.OnDef != nil {
 					m.Hooks.OnDef(fr, phi, vals[i])
 				}
@@ -167,7 +199,7 @@ func (m *Machine) Call(f *ir.Func, args []Value, caller *Frame) (Value, error) {
 				if err != nil {
 					return Value{}, err
 				}
-				fr.Regs[s.Dst] = v
+				fr.Regs[s.Dst.ID] = v
 				if m.Hooks.OnDef != nil {
 					m.Hooks.OnDef(fr, s, v)
 				}
@@ -282,7 +314,7 @@ func (m *Machine) eval(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	case ir.OpConstStr:
 		return Value{}, nil
 	case ir.OpUseVar:
-		return fr.Regs[o.Var], nil
+		return fr.Regs[o.Var.ID], nil
 	case ir.OpLoadG:
 		if m.Hooks.OnLoad != nil {
 			m.Hooks.OnLoad(fr, s, o, o.G.Addr)
@@ -437,15 +469,29 @@ func (m *Machine) evalCall(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	if o.Func == nil {
 		return Value{}, fmt.Errorf("interp: call to unresolved function %s", o.Callee)
 	}
-	args := make([]Value, len(o.Args))
-	for i, a := range o.Args {
+	base, err := m.pushArgs(fr, s, o.Args)
+	if err != nil {
+		return Value{}, err
+	}
+	v, err := m.Call(o.Func, m.args[base:], fr)
+	m.args = m.args[:base]
+	return v, err
+}
+
+// pushArgs evaluates call arguments onto m.args and returns where they
+// start; the caller truncates m.args back to that index when done.
+// Arguments containing calls push and pop above it in turn.
+func (m *Machine) pushArgs(fr *Frame, s *ir.Stmt, args []*ir.Op) (int, error) {
+	base := len(m.args)
+	for _, a := range args {
 		v, err := m.eval(fr, s, a)
 		if err != nil {
-			return Value{}, err
+			m.args = m.args[:base]
+			return 0, err
 		}
-		args[i] = v
+		m.args = append(m.args, v)
 	}
-	return m.Call(o.Func, args, fr)
+	return base, nil
 }
 
 func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
@@ -473,14 +519,14 @@ func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 		return Value{}, nil
 	}
 
-	args := make([]Value, len(o.Args))
-	for i, a := range o.Args {
-		v, err := m.eval(fr, s, a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
+	base, err := m.pushArgs(fr, s, o.Args)
+	if err != nil {
+		return Value{}, err
 	}
+	// Nothing below pushes arguments, so the popped slots stay intact
+	// while the builtin reads them.
+	args := m.args[base:]
+	m.args = m.args[:base]
 	switch o.Callee {
 	case "fabs":
 		return FloatVal(math.Abs(args[0].F)), nil

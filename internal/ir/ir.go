@@ -389,6 +389,11 @@ func (f *Func) NumStmts() int { return f.nextStmtID }
 // NumOps returns the exclusive upper bound of Op.ID within f.
 func (f *Func) NumOps() int { return f.nextOpID }
 
+// NumBlocks returns the exclusive upper bound of Block.ID within f. IDs
+// may have gaps once blocks are pruned, so it can exceed len(f.Blocks);
+// dense per-block tables (the profiler's counters) are sized with it.
+func (f *Func) NumBlocks() int { return f.nextBlkID }
+
 // Program is a whole compiled program.
 type Program struct {
 	Funcs   []*Func

@@ -1,12 +1,12 @@
 package partition_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"sptc/internal/cost"
 	"sptc/internal/depgraph"
-	"sptc/internal/interp"
 	"sptc/internal/ir"
 	"sptc/internal/parser"
 	"sptc/internal/partition"
@@ -283,10 +283,8 @@ func mainLoopGraphs(tb testing.TB, src string) ([]*depgraph.Graph, []*cost.Model
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof := profile.NewProfiler(prog, nests)
-	vm := interp.New(prog, discard{})
-	vm.Hooks = prof.Hooks()
-	if _, err := vm.Run(); err != nil {
+	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
 		tb.Fatalf("profile: %v\n%s", err, src)
 	}
 	prof.Edge.Apply(prog)

@@ -1,11 +1,11 @@
 package partition_test
 
 import (
+	"context"
 	"testing"
 
 	"sptc/internal/cost"
 	"sptc/internal/depgraph"
-	"sptc/internal/interp"
 	"sptc/internal/ir"
 	"sptc/internal/parser"
 	"sptc/internal/partition"
@@ -40,10 +40,8 @@ func loopGraph(t *testing.T, src string, idx int) (*depgraph.Graph, *cost.Model)
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof := profile.NewProfiler(prog, nests)
-	m := interp.New(prog, discard{})
-	m.Hooks = prof.Hooks()
-	if _, err := m.Run(); err != nil {
+	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
 	prof.Edge.Apply(prog)

@@ -3,11 +3,16 @@
 // data-dependence profiling (intra- vs cross-iteration true dependences
 // with probabilities), and value profiling for software value prediction.
 //
-// All three run off interpreter hooks in a single profiling execution,
-// mirroring the paper's offline profiling runs on trimmed inputs.
+// All three run off interpreter hooks in a single profiling execution
+// (Run), mirroring the paper's offline profiling runs on trimmed inputs.
 package profile
 
 import (
+	"cmp"
+	"context"
+	"io"
+	"slices"
+
 	"sptc/internal/interp"
 	"sptc/internal/ir"
 	"sptc/internal/ssa"
@@ -48,8 +53,11 @@ type DepProfile struct {
 	// WriteExec counts executions of a store statement while a given loop
 	// instance was active (the paper's N in "for every N writes at W").
 	WriteExec map[stmtLoop]int64
-	// StmtExec counts total executions per statement.
+	// StmtExec counts total executions per store statement.
 	StmtExec map[*ir.Stmt]int64
+
+	// byLoop lists each loop's Pairs keys in LoopPairs order.
+	byLoop map[*ssa.Loop][]DepKey
 }
 
 type stmtLoop struct {
@@ -94,21 +102,19 @@ func (d *DepProfile) IntraProb(w, r *ir.Stmt, loop *ssa.Loop) float64 {
 	return p
 }
 
-// LoopPairs returns all observed dependence pairs for the loop.
+// LoopPairs returns the observed dependence pairs for the loop, ordered
+// by (W.ID, R.ID) with ties between functions broken by program order.
+// The slice is shared: callers must not modify it.
 func (d *DepProfile) LoopPairs(loop *ssa.Loop) []DepKey {
-	var out []DepKey
-	for k := range d.Pairs {
-		if k.Loop == loop {
-			out = append(out, k)
-		}
-	}
-	return out
+	return d.byLoop[loop]
 }
 
 // ValuePattern summarizes the value sequence produced by one statement.
 type ValuePattern struct {
-	Total      int64 // observations with a previous value available
-	BestStride int64 // most frequent delta between consecutive values
+	Total int64 // observations with a previous value available
+	// BestStride is the most frequent delta between consecutive values;
+	// ties go to the smallest |d|, then the smallest d.
+	BestStride int64
 	BestCount  int64 // occurrences of BestStride
 	LastSame   int64 // occurrences of delta 0 (last-value predictable)
 }
@@ -121,52 +127,98 @@ func (v *ValuePattern) Confidence() float64 {
 	return float64(v.BestCount) / float64(v.Total)
 }
 
-// ValueProfile records per-statement value patterns for integer defs.
+// ValueProfile records value patterns for the integer assignments inside
+// a loop of their own function, the statements software value prediction
+// considers.
 type ValueProfile struct {
-	patterns map[*ir.Stmt]*valueState
-}
-
-type valueState struct {
-	prev    int64
-	hasPrev bool
-	strides map[int64]int64
-	total   int64
+	patterns map[*ir.Stmt]*ValuePattern
 }
 
 // Pattern returns the observed pattern for s, or nil.
 func (v *ValueProfile) Pattern(s *ir.Stmt) *ValuePattern {
-	st, ok := v.patterns[s]
-	if !ok || st.total == 0 {
+	p, ok := v.patterns[s]
+	if !ok {
 		return nil
 	}
-	p := &ValuePattern{Total: st.total, LastSame: st.strides[0]}
-	for d, c := range st.strides {
-		if c > p.BestCount || (c == p.BestCount && d == 0) {
-			p.BestCount = c
-			p.BestStride = d
-		}
-	}
-	return p
+	cp := *p
+	return &cp
 }
 
-// Profiler collects all three profiles in one run.
-type Profiler struct {
+// Profiles holds what one profiling run collected.
+type Profiles struct {
 	Edge  *EdgeProfile
 	Dep   *DepProfile
 	Value *ValueProfile
+}
 
-	nests map[*ir.Func]*ssa.LoopNest
+// Run executes prog once under all three profilers and returns their
+// profiles. nests maps each function to its loop nest, computed on the
+// IR that executes; out receives the program's output. maxSteps > 0
+// bounds the run (interp.ErrStepLimit), otherwise the interpreter's
+// default applies; ctx cancels it cooperatively.
+func Run(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest, out io.Writer, maxSteps int64) (*Profiles, error) {
+	p := newProfiler(prog, nests)
+	m := interp.New(prog, out)
+	m.Ctx = ctx
+	m.Hooks = p.hooks()
+	if maxSteps > 0 {
+		m.MaxSteps = maxSteps
+	}
+	if _, err := m.Run(); err != nil {
+		return nil, err
+	}
+	return p.finish(), nil
+}
 
-	// active is the global stack of live loop instances across the call
-	// stack; writes snapshot it so reads can classify intra/cross.
+// profiler is the state of one run. It counts in dense tables indexed by
+// numbers the IR already assigns densely — block IDs within a function,
+// a program-wide statement index (a function's base plus Stmt.ID), and
+// one index per loop — and finish turns them into the exported,
+// pointer-keyed profiles once.
+type profiler struct {
+	funcs map[*ir.Func]*funcInfo
+	cur   *funcInfo   // function of the innermost live frame
+	stack []*funcInfo // functions of its callers, innermost last
+
+	stmts []*ir.Stmt // by statement index
+	loops []loopInfo // by loop index
+
+	// Dependence profiling. active is the global stack of live loop
+	// instances across the call stack; writes snapshot it so reads can
+	// classify intra/cross.
 	active       []loopInst
 	nextInstance int64
+	shadow       []writeRec // by address
+	storeIdx     []int32    // by statement index: store index, or -1
+	stores       []int32    // by store index: statement index
+	stmtExec     []int64    // by store index
+	writeExec    []int64    // by store index * len(loops) + loop index
+	pairIdx      map[uint64]int32
+	pairs        []pairRec
 
-	shadow []writeRec // indexed by address
+	// Value profiling.
+	valueIdx []int32 // by statement index: values index, or -1
+	values   []valueState
+	histBuf  []strideCount // merge scratch shared by every histogram
+}
+
+// funcInfo holds one function's edge counters and loop lookups, all
+// indexed by Block.ID.
+type funcInfo struct {
+	base      int32 // statement index of Stmt.ID 0
+	blockFreq []int64
+	edgeOff   []int32 // first slot of the block's successors in edges
+	edges     []int64
+	header    []int32 // index of the loop the block heads, or -1
+}
+
+type loopInfo struct {
+	loop     *ssa.Loop
+	contains []bool // by Block.ID within the loop's function
 }
 
 type loopInst struct {
-	loop     *ssa.Loop
+	loop     int32
 	frameID  int64
 	instance int64
 	iter     int64
@@ -174,40 +226,104 @@ type loopInst struct {
 
 const maxSnapDepth = 6
 
+// writeRec is the shadow of one memory word: the last statement to write
+// it and the innermost live loop instances at that write. depth is the
+// length of the active stack then, so snap[j] was at position depth-1-j.
 type writeRec struct {
-	stmt  *ir.Stmt
-	valid bool
-	depth int
+	stmt  int32 // statement index + 1; 0 if never written
+	depth int32
 	snap  [maxSnapDepth]instIter
 }
 
 type instIter struct {
-	loop     *ssa.Loop
 	instance int64
 	iter     int64
 }
 
-// NewProfiler creates a profiler for prog. nests maps each function to
-// its loop nest (computed on the same IR that will execute).
-func NewProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *Profiler {
-	return &Profiler{
-		Edge: &EdgeProfile{
-			BlockFreq: make(map[*ir.Block]int64),
-			EdgeCount: make(map[*ir.Block][]int64),
-		},
-		Dep: &DepProfile{
-			Pairs:     make(map[DepKey]*DepCount),
-			WriteExec: make(map[stmtLoop]int64),
-			StmtExec:  make(map[*ir.Stmt]int64),
-		},
-		Value:  &ValueProfile{patterns: make(map[*ir.Stmt]*valueState)},
-		nests:  nests,
-		shadow: make([]writeRec, prog.Layout()),
-	}
+type pairRec struct {
+	w, r, loop int32
+	c          DepCount
 }
 
-// Hooks returns interpreter hooks that feed this profiler.
-func (p *Profiler) Hooks() interp.Hooks {
+// valueState is one statement's value history.
+type valueState struct {
+	prev    int64
+	hasPrev bool
+	total   int64
+	hist    strideHist
+}
+
+func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
+	p := &profiler{funcs: make(map[*ir.Func]*funcInfo, len(prog.Funcs)), pairIdx: make(map[uint64]int32)}
+	nStmts := 0
+	for _, f := range prog.Funcs {
+		nStmts += f.NumStmts()
+	}
+	p.stmts = make([]*ir.Stmt, nStmts)
+	p.storeIdx = make([]int32, nStmts)
+	p.valueIdx = make([]int32, nStmts)
+	for i := range nStmts {
+		p.storeIdx[i], p.valueIdx[i] = -1, -1
+	}
+	base := 0
+	for _, f := range prog.Funcs {
+		nb := f.NumBlocks()
+		fi := &funcInfo{
+			base:      int32(base),
+			blockFreq: make([]int64, nb),
+			edgeOff:   make([]int32, nb),
+			header:    make([]int32, nb),
+		}
+		p.funcs[f] = fi
+		nEdges := 0
+		for _, b := range f.Blocks {
+			fi.edgeOff[b.ID] = int32(nEdges)
+			nEdges += len(b.Succs)
+		}
+		fi.edges = make([]int64, nEdges)
+		for i := range fi.header {
+			fi.header[i] = -1
+		}
+		var inLoop []bool
+		if nest := nests[f]; nest != nil {
+			inLoop = make([]bool, nb)
+			for _, l := range nest.Loops {
+				li := loopInfo{loop: l, contains: make([]bool, nb)}
+				for _, b := range l.Blocks {
+					li.contains[b.ID] = true
+					inLoop[b.ID] = true
+				}
+				fi.header[l.Header.ID] = int32(len(p.loops))
+				p.loops = append(p.loops, li)
+			}
+		}
+		for _, b := range f.Blocks {
+			for _, s := range b.Stmts {
+				i := base + s.ID
+				p.stmts[i] = s
+				switch {
+				case s.Kind == ir.StmtStoreG || s.Kind == ir.StmtStoreA:
+					p.storeIdx[i] = int32(len(p.stores))
+					p.stores = append(p.stores, int32(i))
+				case s.Kind == ir.StmtAssign && s.Dst != nil && s.Dst.Kind == ir.ValInt && inLoop != nil && inLoop[b.ID]:
+					p.valueIdx[i] = int32(len(p.values))
+					p.values = append(p.values, valueState{})
+				}
+			}
+		}
+		base += f.NumStmts()
+	}
+	p.stmtExec = make([]int64, len(p.stores))
+	p.writeExec = make([]int64, len(p.stores)*len(p.loops))
+
+	// The shadow memory is allocated per run, not recycled: a run's
+	// allocation then depends on the program alone, not on whether an
+	// earlier run's shadow survived a garbage collection.
+	p.shadow = make([]writeRec, prog.Layout())
+	return p
+}
+
+func (p *profiler) hooks() interp.Hooks {
 	return interp.Hooks{
 		OnEnter: p.onEnter,
 		OnExit:  p.onExit,
@@ -218,45 +334,46 @@ func (p *Profiler) Hooks() interp.Hooks {
 	}
 }
 
-func (p *Profiler) onEnter(fr *interp.Frame) {
-	p.Edge.BlockFreq[fr.Func.Entry]++
+func (p *profiler) onEnter(fr *interp.Frame) {
+	if p.cur != nil {
+		p.stack = append(p.stack, p.cur)
+	}
+	p.cur = p.funcs[fr.Func]
+	p.cur.blockFreq[fr.Func.Entry.ID]++
 	// The entry block may itself be a loop header after transformations;
 	// loops are only entered via edges, so nothing else to do.
 }
 
-func (p *Profiler) onExit(fr *interp.Frame) {
+func (p *profiler) onExit(fr *interp.Frame) {
 	for len(p.active) > 0 && p.active[len(p.active)-1].frameID == fr.ID {
 		p.active = p.active[:len(p.active)-1]
 	}
+	p.cur = nil
+	if n := len(p.stack); n > 0 {
+		p.cur = p.stack[n-1]
+		p.stack = p.stack[:n-1]
+	}
 }
 
-func (p *Profiler) onEdge(fr *interp.Frame, from, to *ir.Block) {
-	p.Edge.BlockFreq[to]++
-	counts := p.Edge.EdgeCount[from]
-	if counts == nil {
-		counts = make([]int64, len(from.Succs))
-		p.Edge.EdgeCount[from] = counts
-	}
+func (p *profiler) onEdge(fr *interp.Frame, from, to *ir.Block) {
+	fi := p.cur
+	fi.blockFreq[to.ID]++
 	for i, s := range from.Succs {
 		if s == to {
-			counts[i]++
+			fi.edges[int(fi.edgeOff[from.ID])+i]++
 			break
 		}
 	}
 
 	// Maintain the active loop stack for this frame.
-	for len(p.active) > 0 {
-		top := p.active[len(p.active)-1]
-		if top.frameID != fr.ID || top.loop.Contains(to) {
+	for n := len(p.active); n > 0; n-- {
+		top := &p.active[n-1]
+		if top.frameID != fr.ID || p.loops[top.loop].contains[to.ID] {
 			break
 		}
-		p.active = p.active[:len(p.active)-1]
+		p.active = p.active[:n-1]
 	}
-	nest := p.nests[fr.Func]
-	if nest == nil {
-		return
-	}
-	if l := nest.ByHeader[to]; l != nil {
+	if l := fi.header[to.ID]; l >= 0 {
 		if n := len(p.active); n > 0 && p.active[n-1].loop == l && p.active[n-1].frameID == fr.ID {
 			p.active[n-1].iter++ // back edge
 		} else {
@@ -266,70 +383,137 @@ func (p *Profiler) onEdge(fr *interp.Frame, from, to *ir.Block) {
 	}
 }
 
-func (p *Profiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
-	p.Dep.StmtExec[s]++
+func (p *profiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
+	w := p.cur.base + int32(s.ID)
+	st := int(p.storeIdx[w])
+	p.stmtExec[st]++
 	rec := &p.shadow[addr]
-	rec.stmt = s
-	rec.valid = true
-	rec.depth = 0
-	for i := len(p.active) - 1; i >= 0 && rec.depth < maxSnapDepth; i-- {
-		a := p.active[i]
-		rec.snap[rec.depth] = instIter{loop: a.loop, instance: a.instance, iter: a.iter}
-		rec.depth++
+	rec.stmt = w + 1
+	rec.depth = int32(len(p.active))
+	for j := range min(len(p.active), maxSnapDepth) {
+		a := &p.active[len(p.active)-1-j]
+		rec.snap[j] = instIter{instance: a.instance, iter: a.iter}
 	}
+	row := p.writeExec[st*len(p.loops):]
 	for i := range p.active {
-		p.Dep.WriteExec[stmtLoop{s, p.active[i].loop}]++
+		row[p.active[i].loop]++
 	}
 }
 
-func (p *Profiler) onLoad(fr *interp.Frame, s *ir.Stmt, op *ir.Op, addr int) {
+func (p *profiler) onLoad(fr *interp.Frame, s *ir.Stmt, op *ir.Op, addr int) {
 	rec := &p.shadow[addr]
-	if !rec.valid {
+	if rec.stmt == 0 {
 		return
 	}
-	// For each loop instance active now that was also active at the write,
-	// classify the dependence at that loop level.
-	for i := range p.active {
-		a := p.active[i]
-		for j := 0; j < rec.depth; j++ {
-			w := rec.snap[j]
-			if w.instance != a.instance {
-				continue
-			}
-			key := DepKey{W: rec.stmt, R: s, Loop: a.loop}
-			c := p.Dep.Pairs[key]
-			if c == nil {
-				c = &DepCount{ROp: op.ID}
-				p.Dep.Pairs[key] = c
-			}
-			switch {
-			case a.iter == w.iter:
-				c.Intra++
-			case a.iter == w.iter+1:
-				c.Cross1++
-				c.CrossAny++
-			case a.iter > w.iter:
-				c.CrossAny++
-			}
+	// Classify the dependence at every loop instance live at both the
+	// write and now. An instance keeps its stack position while it lives
+	// and an ended one never returns, so snap[j] can only still be live
+	// at position depth-1-j; and once one has ended, every instance the
+	// write saw inside it has ended too.
+	w, r := rec.stmt-1, p.cur.base+int32(s.ID)
+	for j := min(int(rec.depth), maxSnapDepth) - 1; j >= 0; j-- {
+		pos := int(rec.depth) - 1 - j
+		if pos >= len(p.active) || p.active[pos].instance != rec.snap[j].instance {
+			break
+		}
+		a := &p.active[pos]
+		c := p.pair(w, r, a.loop, op)
+		switch wi := rec.snap[j].iter; {
+		case a.iter == wi:
+			c.Intra++
+		case a.iter == wi+1:
+			c.Cross1++
+			c.CrossAny++
+		case a.iter > wi:
+			c.CrossAny++
 		}
 	}
 }
 
-func (p *Profiler) onDef(fr *interp.Frame, s *ir.Stmt, v interp.Value) {
-	if s.Dst == nil || s.Dst.Kind != ir.ValInt || s.Kind == ir.StmtPhi {
+// pair returns the counters of dependence pair (w, r) at loop l, creating
+// them (with r's reading op) on first sight.
+func (p *profiler) pair(w, r, l int32, op *ir.Op) *DepCount {
+	key := (uint64(w)*uint64(len(p.stmts))+uint64(r))*uint64(len(p.loops)) + uint64(l)
+	i, ok := p.pairIdx[key]
+	if !ok {
+		i = int32(len(p.pairs))
+		p.pairIdx[key] = i
+		p.pairs = append(p.pairs, pairRec{w: w, r: r, loop: l, c: DepCount{ROp: op.ID}})
+	}
+	return &p.pairs[i].c
+}
+
+func (p *profiler) onDef(fr *interp.Frame, s *ir.Stmt, v interp.Value) {
+	i := p.valueIdx[p.cur.base+int32(s.ID)]
+	if i < 0 {
 		return
 	}
-	st := p.Value.patterns[s]
-	if st == nil {
-		st = &valueState{strides: make(map[int64]int64)}
-		p.Value.patterns[s] = st
-	}
+	st := &p.values[i]
 	if st.hasPrev {
-		st.strides[v.I-st.prev]++
+		st.hist.add(v.I-st.prev, &p.histBuf)
 		st.total++
 	}
 	st.prev = v.I
 	st.hasPrev = true
+}
+
+// finish materializes the dense tables into the exported profiles.
+func (p *profiler) finish() *Profiles {
+	edge := &EdgeProfile{BlockFreq: make(map[*ir.Block]int64), EdgeCount: make(map[*ir.Block][]int64)}
+	for f, fi := range p.funcs {
+		for _, b := range f.Blocks {
+			if n := fi.blockFreq[b.ID]; n > 0 {
+				edge.BlockFreq[b] = n
+			}
+			off := int(fi.edgeOff[b.ID])
+			counts := fi.edges[off : off+len(b.Succs)]
+			if slices.ContainsFunc(counts, func(c int64) bool { return c > 0 }) {
+				edge.EdgeCount[b] = slices.Clone(counts)
+			}
+		}
+	}
+
+	dep := &DepProfile{
+		Pairs:     make(map[DepKey]*DepCount, len(p.pairs)),
+		WriteExec: make(map[stmtLoop]int64),
+		StmtExec:  make(map[*ir.Stmt]int64),
+		byLoop:    make(map[*ssa.Loop][]DepKey),
+	}
+	for st, w := range p.stores {
+		s := p.stmts[w]
+		if n := p.stmtExec[st]; n > 0 {
+			dep.StmtExec[s] = n
+		}
+		for l, n := range p.writeExec[st*len(p.loops) : (st+1)*len(p.loops)] {
+			if n > 0 {
+				dep.WriteExec[stmtLoop{s, p.loops[l].loop}] = n
+			}
+		}
+	}
+	slices.SortFunc(p.pairs, func(a, b pairRec) int {
+		sa, sb := p.stmts[a.w], p.stmts[b.w]
+		ra, rb := p.stmts[a.r], p.stmts[b.r]
+		return cmp.Or(cmp.Compare(a.loop, b.loop), cmp.Compare(sa.ID, sb.ID), cmp.Compare(ra.ID, rb.ID),
+			cmp.Compare(a.w, b.w), cmp.Compare(a.r, b.r))
+	})
+	for i := range p.pairs {
+		pr := &p.pairs[i]
+		l := p.loops[pr.loop].loop
+		k := DepKey{W: p.stmts[pr.w], R: p.stmts[pr.r], Loop: l}
+		c := pr.c
+		dep.Pairs[k] = &c
+		dep.byLoop[l] = append(dep.byLoop[l], k)
+	}
+
+	val := &ValueProfile{patterns: make(map[*ir.Stmt]*ValuePattern)}
+	for i, vi := range p.valueIdx {
+		if vi < 0 || p.values[vi].total == 0 {
+			continue
+		}
+		st := &p.values[vi]
+		val.patterns[p.stmts[i]] = bestPattern(st.hist.counts(&p.histBuf), st.total)
+	}
+	return &Profiles{Edge: edge, Dep: dep, Value: val}
 }
 
 // Apply writes the edge profile into Block.Freq and Block.SuccProb for

@@ -1,14 +1,22 @@
 package profile_test
 
 import (
+	"cmp"
+	"context"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"sptc"
+	"sptc/internal/benchprog"
 	"sptc/internal/interp"
 	"sptc/internal/ir"
 	"sptc/internal/parser"
 	"sptc/internal/profile"
 	"sptc/internal/sem"
+	"sptc/internal/splgen"
 	"sptc/internal/ssa"
 )
 
@@ -16,7 +24,7 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-func profileRun(t *testing.T, src string) (*ir.Program, map[*ir.Func]*ssa.LoopNest, *profile.Profiler) {
+func profileRun(t *testing.T, src string) (*ir.Program, map[*ir.Func]*ssa.LoopNest, *profile.Profiles) {
 	t.Helper()
 	p, err := parser.Parse("t.spl", src)
 	if err != nil {
@@ -36,10 +44,8 @@ func profileRun(t *testing.T, src string) (*ir.Program, map[*ir.Func]*ssa.LoopNe
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof := profile.NewProfiler(prog, nests)
-	m := interp.New(prog, discard{})
-	m.Hooks = prof.Hooks()
-	if _, err := m.Run(); err != nil {
+	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return prog, nests, prof
@@ -270,4 +276,352 @@ func main() {
 			t.Errorf("b%d: nonpositive frequency", b.ID)
 		}
 	}
+}
+
+func TestValueProfileStrideTieBreak(t *testing.T) {
+	prog, nests, prof := profileRun(t, `
+func main() {
+	var i int;
+	var y int;
+	var z int;
+	var s int;
+	for (i = 0; i < 101; i++) {
+		y = (i % 2) * 5;
+		z = (i % 4 == 1) * 2 - (i % 4 == 2) * 3 + (i % 4 == 3) * 4;
+		s = s + y + z;
+	}
+	print(s);
+}
+`)
+	l := nests[prog.Main].Loops[0]
+	want := map[string]int64{
+		"y": -5, // +5 and -5 fifty times each: equal magnitude, smaller value
+		"z": 2,  // +2, -5, +7, -4 in turn: smallest magnitude
+	}
+	for _, b := range l.Blocks {
+		for _, s := range b.Stmts {
+			if s.Kind != ir.StmtAssign || s.Dst == nil {
+				continue
+			}
+			stride, ok := want[s.Dst.Base.Name]
+			if !ok {
+				continue
+			}
+			delete(want, s.Dst.Base.Name)
+			pat := prof.Value.Pattern(s)
+			if pat == nil {
+				t.Fatalf("%s: no value pattern", s.Dst)
+			}
+			if pat.BestStride != stride {
+				t.Errorf("%s: best stride %d (count %d of %d), want %d", s.Dst, pat.BestStride, pat.BestCount, pat.Total, stride)
+			}
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("assignments not found in the loop: %v", want)
+	}
+}
+
+// refProfiler is the map-keyed profiler the dense tables replaced, kept
+// as an executable specification: every table is keyed by IR pointers
+// and every event updates it in the obvious way.
+type refProfiler struct {
+	blockFreq map[*ir.Block]int64
+	edgeCount map[*ir.Block][]int64
+	pairs     map[profile.DepKey]*profile.DepCount
+	writeExec map[profile.StmtLoop]int64
+	stmtExec  map[*ir.Stmt]int64
+	strides   map[*ir.Stmt]*refValueState
+
+	nests        map[*ir.Func]*ssa.LoopNest
+	active       []refLoopInst
+	nextInstance int64
+	shadow       []refWriteRec
+}
+
+type refLoopInst struct {
+	loop     *ssa.Loop
+	frameID  int64
+	instance int64
+	iter     int64
+}
+
+type refWriteRec struct {
+	stmt  *ir.Stmt
+	valid bool
+	depth int
+	snap  [6]refLoopInst
+}
+
+type refValueState struct {
+	prev    int64
+	hasPrev bool
+	strides map[int64]int64
+	total   int64
+}
+
+func newRefProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *refProfiler {
+	return &refProfiler{
+		blockFreq: make(map[*ir.Block]int64),
+		edgeCount: make(map[*ir.Block][]int64),
+		pairs:     make(map[profile.DepKey]*profile.DepCount),
+		writeExec: make(map[profile.StmtLoop]int64),
+		stmtExec:  make(map[*ir.Stmt]int64),
+		strides:   make(map[*ir.Stmt]*refValueState),
+		nests:     nests,
+		shadow:    make([]refWriteRec, prog.Layout()),
+	}
+}
+
+func (p *refProfiler) hooks() interp.Hooks {
+	return interp.Hooks{
+		OnEnter: func(fr *interp.Frame) { p.blockFreq[fr.Func.Entry]++ },
+		OnExit: func(fr *interp.Frame) {
+			for len(p.active) > 0 && p.active[len(p.active)-1].frameID == fr.ID {
+				p.active = p.active[:len(p.active)-1]
+			}
+		},
+		OnEdge:  p.onEdge,
+		OnLoad:  p.onLoad,
+		OnStore: p.onStore,
+		OnDef:   p.onDef,
+	}
+}
+
+func (p *refProfiler) onEdge(fr *interp.Frame, from, to *ir.Block) {
+	p.blockFreq[to]++
+	counts := p.edgeCount[from]
+	if counts == nil {
+		counts = make([]int64, len(from.Succs))
+		p.edgeCount[from] = counts
+	}
+	for i, s := range from.Succs {
+		if s == to {
+			counts[i]++
+			break
+		}
+	}
+	for len(p.active) > 0 {
+		top := p.active[len(p.active)-1]
+		if top.frameID != fr.ID || top.loop.Contains(to) {
+			break
+		}
+		p.active = p.active[:len(p.active)-1]
+	}
+	nest := p.nests[fr.Func]
+	if nest == nil {
+		return
+	}
+	if l := nest.ByHeader[to]; l != nil {
+		if n := len(p.active); n > 0 && p.active[n-1].loop == l && p.active[n-1].frameID == fr.ID {
+			p.active[n-1].iter++
+		} else {
+			p.nextInstance++
+			p.active = append(p.active, refLoopInst{loop: l, frameID: fr.ID, instance: p.nextInstance})
+		}
+	}
+}
+
+func (p *refProfiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
+	p.stmtExec[s]++
+	rec := &p.shadow[addr]
+	rec.stmt, rec.valid, rec.depth = s, true, 0
+	for i := len(p.active) - 1; i >= 0 && rec.depth < len(rec.snap); i-- {
+		rec.snap[rec.depth] = p.active[i]
+		rec.depth++
+	}
+	for _, a := range p.active {
+		p.writeExec[profile.StmtLoop{S: s, Loop: a.loop}]++
+	}
+}
+
+func (p *refProfiler) onLoad(fr *interp.Frame, s *ir.Stmt, op *ir.Op, addr int) {
+	rec := &p.shadow[addr]
+	if !rec.valid {
+		return
+	}
+	for _, a := range p.active {
+		for _, w := range rec.snap[:rec.depth] {
+			if w.instance != a.instance {
+				continue
+			}
+			key := profile.DepKey{W: rec.stmt, R: s, Loop: a.loop}
+			c := p.pairs[key]
+			if c == nil {
+				c = &profile.DepCount{ROp: op.ID}
+				p.pairs[key] = c
+			}
+			switch {
+			case a.iter == w.iter:
+				c.Intra++
+			case a.iter == w.iter+1:
+				c.Cross1++
+				c.CrossAny++
+			case a.iter > w.iter:
+				c.CrossAny++
+			}
+		}
+	}
+}
+
+func (p *refProfiler) onDef(fr *interp.Frame, s *ir.Stmt, v interp.Value) {
+	if s.Dst == nil || s.Dst.Kind != ir.ValInt || s.Kind == ir.StmtPhi {
+		return
+	}
+	st := p.strides[s]
+	if st == nil {
+		st = &refValueState{strides: make(map[int64]int64)}
+		p.strides[s] = st
+	}
+	if st.hasPrev {
+		st.strides[v.I-st.prev]++
+		st.total++
+	}
+	st.prev, st.hasPrev = v.I, true
+}
+
+// pattern is ValueProfile.Pattern over the full histogram, with its
+// tie-break spelled out as a sort: count descending, then |d|, then d.
+func (p *refProfiler) pattern(s *ir.Stmt) *profile.ValuePattern {
+	st := p.strides[s]
+	if st == nil || st.total == 0 {
+		return nil
+	}
+	var ds []int64
+	for d := range st.strides {
+		ds = append(ds, d)
+	}
+	abs := func(d int64) uint64 {
+		if d < 0 {
+			return -uint64(d)
+		}
+		return uint64(d)
+	}
+	slices.SortFunc(ds, func(a, b int64) int {
+		return cmp.Or(-cmp.Compare(st.strides[a], st.strides[b]), cmp.Compare(abs(a), abs(b)), cmp.Compare(a, b))
+	})
+	return &profile.ValuePattern{Total: st.total, BestStride: ds[0], BestCount: st.strides[ds[0]], LastSame: st.strides[0]}
+}
+
+// loopPairs lists the reference pairs of loop in LoopPairs' documented
+// order: (W.ID, R.ID), then the functions' program order.
+func (p *refProfiler) loopPairs(loop *ssa.Loop, funcOf map[*ir.Stmt]int) []profile.DepKey {
+	var keys []profile.DepKey
+	for k := range p.pairs {
+		if k.Loop == loop {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b profile.DepKey) int {
+		return cmp.Or(cmp.Compare(a.W.ID, b.W.ID), cmp.Compare(a.R.ID, b.R.ID),
+			cmp.Compare(funcOf[a.W], funcOf[b.W]), cmp.Compare(funcOf[a.R], funcOf[b.R]))
+	})
+	return keys
+}
+
+// checkMatchesReference profiles prog with Run and with refProfiler and
+// requires identical edge counts, dependence pairs (and LoopPairs order),
+// write and store counts, and value patterns for every integer
+// assignment inside a loop. It returns how many pairs and patterns it
+// compared.
+func checkMatchesReference(t *testing.T, prog *ir.Program) (pairs, patterns int) {
+	t.Helper()
+	nests := make(map[*ir.Func]*ssa.LoopNest)
+	for _, f := range prog.Funcs {
+		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+	}
+	got, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	ref := newRefProfiler(prog, nests)
+	m := interp.New(prog, discard{})
+	m.Hooks = ref.hooks()
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("reference profile: %v", err)
+	}
+
+	if !reflect.DeepEqual(got.Edge.BlockFreq, ref.blockFreq) {
+		t.Errorf("BlockFreq differs: %d blocks, reference %d", len(got.Edge.BlockFreq), len(ref.blockFreq))
+	}
+	if !reflect.DeepEqual(got.Edge.EdgeCount, ref.edgeCount) {
+		t.Errorf("EdgeCount differs: %d blocks, reference %d", len(got.Edge.EdgeCount), len(ref.edgeCount))
+	}
+	if !reflect.DeepEqual(got.Dep.Pairs, ref.pairs) {
+		t.Errorf("Pairs differ: %d pairs, reference %d", len(got.Dep.Pairs), len(ref.pairs))
+	}
+	if !reflect.DeepEqual(got.Dep.WriteExec, ref.writeExec) {
+		t.Errorf("WriteExec differs: %d entries, reference %d", len(got.Dep.WriteExec), len(ref.writeExec))
+	}
+	if !reflect.DeepEqual(got.Dep.StmtExec, ref.stmtExec) {
+		t.Errorf("StmtExec differs: %d statements, reference %d", len(got.Dep.StmtExec), len(ref.stmtExec))
+	}
+	funcOf := make(map[*ir.Stmt]int)
+	for i, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			for _, s := range b.Stmts {
+				funcOf[s] = i
+			}
+		}
+	}
+	for _, f := range prog.Funcs {
+		for _, l := range nests[f].Loops {
+			want := ref.loopPairs(l, funcOf)
+			if gotKeys := got.Dep.LoopPairs(l); !slices.Equal(gotKeys, want) {
+				t.Errorf("%s %v: LoopPairs %d keys, reference %d (or order differs)", f.Name, l, len(gotKeys), len(want))
+			}
+			pairs += len(want)
+			for _, b := range l.Blocks {
+				for _, s := range b.Stmts {
+					if s.Kind != ir.StmtAssign || s.Dst == nil || s.Dst.Kind != ir.ValInt {
+						continue
+					}
+					if g, w := got.Value.Pattern(s), ref.pattern(s); !reflect.DeepEqual(g, w) {
+						t.Errorf("%s s%d: pattern %+v, reference %+v", f.Name, s.ID, g, w)
+					}
+					patterns++
+				}
+			}
+		}
+	}
+	return pairs, patterns
+}
+
+// TestProfileMatchesReference pins the dense profiler to refProfiler on
+// the benchmark suite's output at every profiled level (unrolled,
+// privatized, SVP-rewritten and SPT-transformed IR) and on generated
+// programs.
+func TestProfileMatchesReference(t *testing.T) {
+	var pairs, patterns int
+	for _, b := range benchprog.Suite() {
+		for _, level := range []sptc.Level{sptc.LevelBasic, sptc.LevelBest, sptc.LevelAnticipated} {
+			t.Run(b.Name+"/"+level.String(), func(t *testing.T) {
+				res, err := sptc.Compile(b.Name, b.Source, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				np, nv := checkMatchesReference(t, res.Prog)
+				pairs += np
+				patterns += nv
+			})
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("splgen/%d", seed), func(t *testing.T) {
+			src := splgen.Generate(seed)
+			for _, level := range []sptc.Level{sptc.LevelBase, sptc.LevelAnticipated} {
+				res, err := sptc.Compile("gen.spl", src, level)
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", level, err, src)
+				}
+				np, nv := checkMatchesReference(t, res.Prog)
+				pairs += np
+				patterns += nv
+			}
+		})
+	}
+	if pairs == 0 || patterns == 0 {
+		t.Fatalf("compared %d pairs and %d patterns: the corpus exercises nothing", pairs, patterns)
+	}
+	t.Logf("compared %d loop dependence pairs and %d value patterns", pairs, patterns)
 }
