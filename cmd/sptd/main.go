@@ -14,7 +14,9 @@
 // Simulate requests accept "counters_only": true in their options for
 // the counters-only fast mode (bit-identical fidelity counters, no
 // cycle accounting; incompatible with compare/coverage_max_body); such
-// responses are cached under their own key.
+// responses are cached under their own key. "coverage_max_body" (the
+// Figure 16 maximum-coverage measurement) is accepted only at level
+// base, where the one simulation measures it.
 //
 // Admission is bounded: at most -queue-depth requests wait for the
 // -workers pool, and excess load is rejected with HTTP 429 rather than

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,11 +97,14 @@ type Options struct {
 	SVP       transform.SVPOptions
 	Partition partition.Options
 	Select    SelectOptions
-	// ProfileOut receives the program's output during profiling runs
-	// (defaults to io.Discard).
-	ProfileOut io.Writer
 	// MaxProfileSteps bounds the profiling execution.
 	MaxProfileSteps int64
+	// ProfileMemo, when non-nil, shares profiling runs between compiles
+	// that profile identical IR (see profile.Memo): a hit records no
+	// "profile" span and counts profile_memo_hit on CompileSource's
+	// "compile" span instead. The result is the same either way. Nil
+	// runs every profile.
+	ProfileMemo *profile.Memo
 	// DisableSVP turns software value prediction off (ablation).
 	DisableSVP bool
 	// SearchWorkers parallelizes pass 1 at two levels: candidate loops
@@ -298,7 +300,7 @@ func CompileSource(name, src string, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compile(p, opt)
+	return compile(p, opt, root)
 }
 
 // Compile runs the SPT pipeline over an IR program (which it mutates).
@@ -309,10 +311,13 @@ func CompileSource(name, src string, opt Options) (*Result, error) {
 // the compile itself keeps going. Only front-end errors, IR corruption,
 // and cancellation of opt.Context abort the whole compilation.
 func Compile(p *ir.Program, opt Options) (*Result, error) {
+	return compile(p, opt, nil)
+}
+
+// compile is Compile; root is the span enclosing the compilation on
+// opt.Trace, which records profile memo hits (nil records none).
+func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 	res := &Result{Level: opt.Level, Prog: p}
-	if opt.ProfileOut == nil {
-		opt.ProfileOut = io.Discard
-	}
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -359,9 +364,7 @@ func Compile(p *ir.Program, opt Options) (*Result, error) {
 	}
 
 	// Profiling run.
-	sp = opt.Trace.Start("profile")
-	prof, err := runProfile(ctx, p, opt)
-	sp.End()
+	prof, err := runProfile(ctx, p, opt, root)
 	if err != nil {
 		return nil, fmt.Errorf("profiling: %w", err)
 	}
@@ -377,9 +380,7 @@ func Compile(p *ir.Program, opt Options) (*Result, error) {
 			if err := ir.VerifyProgram(p); err != nil {
 				return nil, fmt.Errorf("after SVP: %w", err)
 			}
-			sp = opt.Trace.Start("profile")
-			prof, err = runProfile(ctx, p, opt)
-			sp.End()
+			prof, err = runProfile(ctx, p, opt, root)
 			if err != nil {
 				return nil, fmt.Errorf("re-profiling after SVP: %w", err)
 			}
@@ -993,13 +994,24 @@ func applySVP(p *ir.Program, prof *profile.Profiles, opt Options, applied map[*i
 	return changed
 }
 
-func runProfile(ctx context.Context, p *ir.Program, opt Options) (*profile.Profiles, error) {
+// runProfile profiles p through opt.ProfileMemo. An executed run is
+// recorded as a "profile" span; a memo hit executes nothing and is
+// counted on root instead.
+func runProfile(ctx context.Context, p *ir.Program, opt Options, root *trace.Span) (*profile.Profiles, error) {
+	begin := opt.Trace.Now()
 	nests := make(map[*ir.Func]*ssa.LoopNest, len(p.Funcs))
 	for _, f := range p.Funcs {
 		dom := ssa.BuildDomTree(f)
 		nests[f] = ssa.FindLoops(f, dom)
 	}
-	return profile.Run(ctx, p, nests, opt.ProfileOut, opt.MaxProfileSteps)
+	prof, hit, err := opt.ProfileMemo.Run(ctx, p, nests, opt.MaxProfileSteps)
+	if hit {
+		n, _ := root.Int64("profile_memo_hit")
+		root.Int("profile_memo_hit", n+1)
+	} else {
+		opt.Trace.Record("profile", begin, opt.Trace.Now()-begin)
+	}
+	return prof, err
 }
 
 func finishSSA(p *ir.Program, tk *trace.Track) {

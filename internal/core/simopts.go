@@ -69,6 +69,20 @@ func CoverageOptions(prog *ir.Program, maxBody int) (machine.RunOptions, []int) 
 	return opt, sizes
 }
 
+// MaxCoverage returns the share of sim's cycles spent in the loops it
+// attributed: the paper's Figure 16 maximum coverage for a run made with
+// CoverageOptions.
+func MaxCoverage(sim *machine.Result) float64 {
+	if sim.Cycles == 0 {
+		return 0
+	}
+	var covered float64
+	for _, c := range sim.CyclesByLoop {
+		covered += c
+	}
+	return covered / sim.Cycles
+}
+
 // ParseDecision maps a Decision.String() name back to the Decision; ok
 // is false for an unknown name. The compilation service uses it to
 // reconstruct loop reports from wire responses.

@@ -22,8 +22,8 @@ import (
 	"sptc/internal/benchprog"
 	"sptc/internal/core"
 	"sptc/internal/incr"
-	"sptc/internal/ir"
 	"sptc/internal/machine"
+	"sptc/internal/profile"
 	"sptc/internal/service"
 	"sptc/internal/trace"
 )
@@ -127,10 +127,9 @@ type Options struct {
 	// (machine.RunOptions.CountersOnly): the fidelity counters and
 	// program outputs are bit-identical to a full-fidelity suite, but no
 	// cycles are produced, so Speedup, Coverage, and the Figure 16
-	// MaxCoverage measurement read zero (the auxiliary coverage
-	// simulation is skipped entirely). The output-divergence check
-	// against base still runs. Substantially faster for sweeps that only
-	// read counters.
+	// MaxCoverage measurement read zero (the base simulation carries no
+	// loop attribution). The output-divergence check against base still
+	// runs. Substantially faster for sweeps that only read counters.
 	CountersOnly bool
 	// Incr is an optional loop-result store shared by every level compile
 	// in the suite (see core.Options.Incr); the Store is safe for the
@@ -195,12 +194,12 @@ func RunSuite(opt Options) (*SuiteResult, error) {
 		suite.Runs[i] = &BenchmarkRun{Name: b.Name, Levels: make(map[core.Level]*LevelRun, len(opt.Levels))}
 	}
 
-	// One job per (benchmark, level) plus a base+coverage job per
-	// benchmark. Level jobs share the base compile+simulate through the
-	// per-benchmark baseRun memo, so nothing recompiles the base program.
+	// One job per (benchmark, level) plus a base job per benchmark. Level
+	// jobs share the base compile+simulate through the per-benchmark
+	// baseRun memo, so nothing recompiles the base program.
 	type job struct {
 		benchIdx int
-		levelIdx int // -1: the base + coverage job
+		levelIdx int // -1: the base job
 	}
 	var jobs []job
 	for i := range benches {
@@ -212,6 +211,9 @@ func RunSuite(opt Options) (*SuiteResult, error) {
 
 	logger := &safeLogger{w: opt.Log}
 	cache := NewCompileCache()
+	// Level compiles of one program often profile identical IR (basic
+	// and best do whenever SVP is applied after the first profile).
+	profiles := profile.NewMemo()
 
 	// Every job gets its own trace track, allocated here in suite order —
 	// before the worker pool starts — so track IDs are independent of the
@@ -258,7 +260,7 @@ func RunSuite(opt Options) (*SuiteResult, error) {
 				} else {
 					lvl := opt.Levels[j.levelIdx]
 					tk := levelTracks[j.benchIdx][j.levelIdx]
-					levelRuns[j.benchIdx][j.levelIdx], err = runLevel(b, lvl, opt, cache, eng, bases[j.benchIdx], tk, logger)
+					levelRuns[j.benchIdx][j.levelIdx], err = runLevel(b, lvl, opt, cache, profiles, eng, bases[j.benchIdx], tk, logger)
 				}
 				if err != nil {
 					errs[ji] = fmt.Errorf("%s: %w", b.Name, err)
@@ -313,10 +315,9 @@ func validateLevels(levels []core.Level) error {
 type baseRun struct {
 	once    sync.Once
 	track   *trace.Track
-	res     *core.Result
 	sim     *machine.Result
 	out     string
-	maxCov  float64 // remote mode only: Figure 16 coverage from the daemon
+	maxCov  float64 // Figure 16 maximum coverage
 	metrics Metrics
 	status  Status
 	retried bool
@@ -372,12 +373,22 @@ func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, 
 				return fmt.Errorf("base compile: %w", err)
 			}
 			var out captureWriter
+			simOpt := machine.RunOptions{Out: &out, Trace: br.track, Context: ctx, Engine: opt.Engine, CountersOnly: opt.CountersOnly}
+			if !opt.CountersOnly {
+				// Figure 16's maximum coverage is measured on this run:
+				// loop attribution observes the simulation without
+				// changing it.
+				if cov, sizes := core.CoverageOptions(res.Prog, opt.MaxLoopBody); len(sizes) > 0 {
+					simOpt.AttributeLoops, simOpt.LoopBlocks = cov.AttributeLoops, cov.LoopBlocks
+				}
+			}
 			start := time.Now()
-			sim, err := eng.Run(res.Prog, opt.Machine, machine.RunOptions{Out: &out, Trace: br.track, Context: ctx, Engine: opt.Engine, CountersOnly: opt.CountersOnly})
+			sim, err := eng.Run(res.Prog, opt.Machine, simOpt)
 			if err != nil {
 				return fmt.Errorf("base simulate: %w", err)
 			}
-			br.res, br.sim, br.out = res, sim, out.String()
+			br.sim, br.out = sim, out.String()
+			br.maxCov = core.MaxCoverage(sim)
 			br.metrics = metricsFromTrack(br.track, cdur, time.Since(start))
 			logger.logf("[%s] base: %.0f cycles, IPC %.2f (compile %s, simulate %s)",
 				b.Name, sim.Cycles, sim.IPC(), fmtDur(cdur), fmtDur(br.metrics.Simulate))
@@ -386,7 +397,7 @@ func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, 
 		if err != nil {
 			if st, soft := softStatus(err); soft {
 				br.status, br.err = st, err
-				br.res, br.sim, br.out = nil, nil, ""
+				br.sim, br.out = nil, ""
 				logger.logf("[%s] base: %s (%v)", b.Name, st, err)
 				return
 			}
@@ -396,9 +407,8 @@ func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, 
 	return br.err
 }
 
-// runBase fills a benchmark's base reference fields and the Figure 16
-// maximum-coverage measurement. Only this job touches the base program's
-// IR, so the coverage simulation never races with the level jobs.
+// runBase fills a benchmark's base reference fields, including the
+// Figure 16 maximum coverage the base simulation measured.
 func runBase(b benchprog.Benchmark, opt Options, cache *CompileCache, eng *machine.Engine, br *baseRun, run *BenchmarkRun, logger *safeLogger) error {
 	err := br.get(b, opt, cache, eng, logger)
 	run.BaseStatus = br.status
@@ -414,44 +424,14 @@ func runBase(b benchprog.Benchmark, opt Options, cache *CompileCache, eng *machi
 	run.BaseOutput = br.out
 	run.BaseIPC = br.sim.IPC()
 	run.BaseMetrics = br.metrics
-	if opt.Client != nil {
-		// Remote mode: the daemon measured coverage (CoverageMaxBody).
-		run.MaxCoverage = br.maxCov
-		return nil
-	}
-
-	if opt.CountersOnly {
-		// The Figure 16 measurement is a cycle ratio; counters-only mode
-		// skips the auxiliary simulation and leaves MaxCoverage zero.
-		return nil
-	}
-
-	// Maximum loop coverage at the SPT size limit (Figure 16). The
-	// auxiliary simulation records as a "coverage" span so it never
-	// contributes to the base job's "simulate" metrics.
-	covOpt, sizes := coverageOptions(br.res.Prog, opt.MaxLoopBody)
-	covOpt.Trace = br.track
-	covOpt.TraceName = "coverage"
-	covOpt.Context = opt.Context
-	covOpt.Engine = opt.Engine
-	if len(sizes) > 0 {
-		covSim, err := eng.Run(br.res.Prog, opt.Machine, covOpt)
-		if err != nil {
-			return fmt.Errorf("coverage simulate: %w", err)
-		}
-		var covered float64
-		for _, c := range covSim.CyclesByLoop {
-			covered += c
-		}
-		run.MaxCoverage = ratio(covered, covSim.Cycles)
-	}
+	run.MaxCoverage = br.maxCov
 	return nil
 }
 
 // runLevel compiles and simulates one benchmark at one level, recording
 // the job's span tree on its dedicated track. Panics and per-job
 // timeouts mark the returned LevelRun instead of failing the suite.
-func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *CompileCache, eng *machine.Engine, br *baseRun, tk *trace.Track, logger *safeLogger) (*LevelRun, error) {
+func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *CompileCache, profiles *profile.Memo, eng *machine.Engine, br *baseRun, tk *trace.Track, logger *safeLogger) (*LevelRun, error) {
 	if err := br.get(b, opt, cache, eng, logger); err != nil && br.status == StatusOK {
 		return nil, err
 	}
@@ -468,6 +448,7 @@ func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *Compi
 		}
 		copt.SearchWorkers = opt.SearchWorkers
 		copt.Incr = opt.Incr
+		copt.ProfileMemo = profiles
 		res, cdur, err := cache.Get(b.Name, b.Source, copt)
 		if err != nil {
 			return fmt.Errorf("%s compile: %w", level, err)
@@ -625,14 +606,10 @@ func fmtDur(d time.Duration) string {
 	return d.Round(time.Millisecond).String()
 }
 
-// simulationOptions and coverageOptions delegate to the shared core
-// helpers (also used by the root package and the compilation service).
+// simulationOptions delegates to the shared core helper (also used by
+// the root package and the compilation service).
 func simulationOptions(res *core.Result) machine.RunOptions {
 	return core.SimulationOptions(res)
-}
-
-func coverageOptions(prog *ir.Program, maxBody int) (machine.RunOptions, []int) {
-	return core.CoverageOptions(prog, maxBody)
 }
 
 type captureWriter struct{ buf []byte }

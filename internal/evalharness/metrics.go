@@ -73,9 +73,8 @@ type Metrics struct {
 
 // metricsFromTrack assembles a job's Metrics from its completed trace
 // spans: the per-loop partition-search counters summed over the "loop"
-// spans, and the dynamic instruction count of the job's "simulate" span
-// (auxiliary coverage simulations record under a different span name and
-// are excluded).
+// spans, and the dynamic instruction count of the job's one "simulate"
+// span.
 func metricsFromTrack(tk *trace.Track, compile, simulate time.Duration) Metrics {
 	m := Metrics{
 		Timing:        Timing{Compile: compile, Simulate: simulate},

@@ -41,19 +41,22 @@ func TestTracePerJobIsolation(t *testing.T) {
 	}
 
 	for _, run := range suite.Runs {
-		// Base track: one compile tree for this benchmark, one "simulate"
-		// span, and the auxiliary coverage simulation under its own name.
+		// Base track: one compile tree for this benchmark and one
+		// "simulate" span, which also measured Figure 16's coverage.
 		base := tr.Track(run.Name + "/base")
 		if base == nil {
 			t.Fatalf("%s: no base track", run.Name)
 		}
 		checkOneTree(t, base, run.Name, "base", strArg)
-		if n := countSpans(base, "coverage"); n > 1 {
-			t.Errorf("%s/base: %d coverage spans, want at most 1", run.Name, n)
+		if n := countSpans(base, "coverage"); n != 0 {
+			t.Errorf("%s/base: %d coverage spans, want none", run.Name, n)
 		}
-		if got := metricsFromTrack(base, 0, 0); got.SimOps != run.BaseMetrics.SimOps {
-			t.Errorf("%s/base: trace sim_instructions %d != metrics SimOps %d",
-				run.Name, got.SimOps, run.BaseMetrics.SimOps)
+		if run.MaxCoverage <= 0 {
+			t.Errorf("%s: MaxCoverage %v, want > 0", run.Name, run.MaxCoverage)
+		}
+		if v, _ := base.Find("simulate").Int64("sim_instructions"); v != run.BaseMetrics.SimOps {
+			t.Errorf("%s/base: simulate span sim_instructions %d != metrics SimOps %d",
+				run.Name, v, run.BaseMetrics.SimOps)
 		}
 
 		for _, lvl := range suite.Levels {
@@ -64,7 +67,7 @@ func TestTracePerJobIsolation(t *testing.T) {
 			}
 			checkOneTree(t, tk, run.Name, lvl.String(), strArg)
 			if n := countSpans(tk, "coverage"); n != 0 {
-				t.Errorf("%s/%s: %d coverage spans leaked onto a level track", run.Name, lvl, n)
+				t.Errorf("%s/%s: %d coverage spans, want none", run.Name, lvl, n)
 			}
 			got := metricsFromTrack(tk, 0, 0)
 			if got.SearchNodes != lr.Metrics.SearchNodes ||

@@ -43,11 +43,7 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 	if opt.Out == nil {
 		opt.Out = io.Discard
 	}
-	name := opt.TraceName
-	if name == "" {
-		name = "simulate"
-	}
-	sp := opt.Trace.Start(name)
+	sp := opt.Trace.Start("simulate")
 	defer sp.End()
 	if err := cfg.Validate(); err != nil {
 		sp.Str("error", err.Error())

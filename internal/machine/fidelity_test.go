@@ -151,3 +151,42 @@ func TestPooledEngineFidelity(t *testing.T) {
 		}
 	}
 }
+
+// TestAttributionIsPureObserver pins what lets the evaluation measure
+// Figure 16's maximum coverage on the base simulation itself: loop
+// attribution (CoverageOptions) changes nothing the run reports besides
+// CyclesByLoop — not the output, cycles, instruction, branch and memory
+// counters, or per-loop statistics — on either engine.
+func TestAttributionIsPureObserver(t *testing.T) {
+	for _, b := range benchprog.Suite() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			res, err := sptc.Compile(b.Name+".spl", b.Source, sptc.LevelBase)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			for _, kind := range []machine.EngineKind{machine.EngineTree, machine.EngineBytecode} {
+				plain, plainOut := runEngine(t, res, kind)
+				opt, sizes := sptc.CoverageOptions(res.Prog, 1000)
+				if len(sizes) == 0 {
+					t.Fatal("no loops to attribute")
+				}
+				var out strings.Builder
+				opt.Out = &out
+				opt.Engine = kind
+				attr, err := machine.Run(res.Prog, machine.DefaultConfig(), opt)
+				if err != nil {
+					t.Fatalf("engine %v: %v", kind, err)
+				}
+				if len(attr.CyclesByLoop) == 0 {
+					t.Errorf("%v: attributed no cycles", kind)
+				}
+				// Everything but the attribution itself must match.
+				cmp := *attr
+				cmp.CyclesByLoop = plain.CyclesByLoop
+				requireIdentical(t, b.Name+"/"+kind.String()+": plain vs attributed", plain, &cmp, plainOut, out.String())
+			}
+		})
+	}
+}

@@ -96,10 +96,6 @@ type RunOptions struct {
 	// simulation counters (sim_instructions, cycles, forks, misspec
 	// iterations, ...). Nil disables tracing at no cost.
 	Trace *trace.Track
-	// TraceName overrides the span name (default "simulate"); the
-	// evaluation harness uses it to keep auxiliary coverage runs out of
-	// the per-job simulate metrics.
-	TraceName string
 	// Context, when set, cancels the simulation cooperatively: it is
 	// polled every ctxPollSteps simulated statements.
 	Context context.Context

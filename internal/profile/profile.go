@@ -157,6 +157,16 @@ type Profiles struct {
 // bounds the run (interp.ErrStepLimit), otherwise the interpreter's
 // default applies; ctx cancels it cooperatively.
 func Run(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest, out io.Writer, maxSteps int64) (*Profiles, error) {
+	c, err := count(ctx, prog, nests, out, maxSteps)
+	if err != nil {
+		return nil, err
+	}
+	return c.materialize(prog, nests), nil
+}
+
+// count executes prog under the profiler's hooks and returns what they
+// counted; Run's arguments have Run's meaning.
+func count(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest, out io.Writer, maxSteps int64) (*counts, error) {
 	p := newProfiler(prog, nests)
 	m := interp.New(prog, out)
 	m.Ctx = ctx
@@ -170,36 +180,21 @@ func Run(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest
 	return p.finish(), nil
 }
 
-// profiler is the state of one run. It counts in dense tables indexed by
-// numbers the IR already assigns densely — block IDs within a function,
-// a program-wide statement index (a function's base plus Stmt.ID), and
-// one index per loop — and finish turns them into the exported,
-// pointer-keyed profiles once.
-type profiler struct {
-	funcs map[*ir.Func]*funcInfo
-	cur   *funcInfo   // function of the innermost live frame
-	stack []*funcInfo // functions of its callers, innermost last
-
-	stmts []*ir.Stmt // by statement index
-	loops []loopInfo // by loop index
-
-	// Dependence profiling. active is the global stack of live loop
-	// instances across the call stack; writes snapshot it so reads can
-	// classify intra/cross.
-	active       []loopInst
-	nextInstance int64
-	shadow       []writeRec // by address
-	storeIdx     []int32    // by statement index: store index, or -1
-	stores       []int32    // by store index: statement index
-	stmtExec     []int64    // by store index
-	writeExec    []int64    // by store index * len(loops) + loop index
-	pairIdx      map[uint64]int32
-	pairs        []pairRec
-
-	// Value profiling.
-	valueIdx []int32 // by statement index: values index, or -1
-	values   []valueState
-	histBuf  []strideCount // merge scratch shared by every histogram
+// counts is what one profiling run observed, in dense tables indexed by
+// numbers the IR already assigns densely: functions by their position in
+// Program.Funcs, blocks by Block.ID, statements by a program-wide index
+// (a function's base plus Stmt.ID), and loops by one index each. It
+// holds no pointers into the IR, so materialize can turn it into the
+// profiles of any program with the same memo key, and nothing modifies
+// it once finish returns it.
+type counts struct {
+	funcs     []*funcInfo   // by function position
+	loops     []loopID      // by loop index
+	stores    []int32       // by store index: statement index
+	stmtExec  []int64       // by store index
+	writeExec []int64       // by store index * len(loops) + loop index
+	pairs     []pairRec     // by loop index, then (W.ID, R.ID), then statement index
+	patterns  []stmtPattern // by statement index
 }
 
 // funcInfo holds one function's edge counters and loop lookups, all
@@ -212,9 +207,40 @@ type funcInfo struct {
 	header    []int32 // index of the loop the block heads, or -1
 }
 
-type loopInfo struct {
-	loop     *ssa.Loop
-	contains []bool // by Block.ID within the loop's function
+// loopID names a loop by its function's position in Program.Funcs and
+// its header's Block.ID.
+type loopID struct{ fn, header int32 }
+
+type stmtPattern struct {
+	stmt int32 // statement index
+	p    ValuePattern
+}
+
+// profiler is the state of one run: the counts it fills, plus the
+// lookups, loop stacks, shadow memory and value histograms that only the
+// run itself needs.
+type profiler struct {
+	counts
+	byFunc map[*ir.Func]*funcInfo
+	cur    *funcInfo   // function of the innermost live frame
+	stack  []*funcInfo // functions of its callers, innermost last
+
+	stmts    []*ir.Stmt // by statement index
+	contains [][]bool   // by loop index: membership by Block.ID within the loop's function
+
+	// Dependence profiling. active is the global stack of live loop
+	// instances across the call stack; writes snapshot it so reads can
+	// classify intra/cross.
+	active       []loopInst
+	nextInstance int64
+	shadow       []writeRec // by address
+	storeIdx     []int32    // by statement index: store index, or -1
+	pairIdx      map[uint64]int32
+
+	// Value profiling.
+	valueIdx []int32 // by statement index: values index, or -1
+	values   []valueState
+	histBuf  []strideCount // merge scratch shared by every histogram
 }
 
 type loopInst struct {
@@ -254,7 +280,7 @@ type valueState struct {
 }
 
 func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
-	p := &profiler{funcs: make(map[*ir.Func]*funcInfo, len(prog.Funcs)), pairIdx: make(map[uint64]int32)}
+	p := &profiler{byFunc: make(map[*ir.Func]*funcInfo, len(prog.Funcs)), pairIdx: make(map[uint64]int32)}
 	nStmts := 0
 	for _, f := range prog.Funcs {
 		nStmts += f.NumStmts()
@@ -266,7 +292,7 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 		p.storeIdx[i], p.valueIdx[i] = -1, -1
 	}
 	base := 0
-	for _, f := range prog.Funcs {
+	for fn, f := range prog.Funcs {
 		nb := f.NumBlocks()
 		fi := &funcInfo{
 			base:      int32(base),
@@ -274,7 +300,8 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 			edgeOff:   make([]int32, nb),
 			header:    make([]int32, nb),
 		}
-		p.funcs[f] = fi
+		p.byFunc[f] = fi
+		p.funcs = append(p.funcs, fi)
 		nEdges := 0
 		for _, b := range f.Blocks {
 			fi.edgeOff[b.ID] = int32(nEdges)
@@ -288,13 +315,14 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 		if nest := nests[f]; nest != nil {
 			inLoop = make([]bool, nb)
 			for _, l := range nest.Loops {
-				li := loopInfo{loop: l, contains: make([]bool, nb)}
+				contains := make([]bool, nb)
 				for _, b := range l.Blocks {
-					li.contains[b.ID] = true
+					contains[b.ID] = true
 					inLoop[b.ID] = true
 				}
 				fi.header[l.Header.ID] = int32(len(p.loops))
-				p.loops = append(p.loops, li)
+				p.loops = append(p.loops, loopID{fn: int32(fn), header: int32(l.Header.ID)})
+				p.contains = append(p.contains, contains)
 			}
 		}
 		for _, b := range f.Blocks {
@@ -338,7 +366,7 @@ func (p *profiler) onEnter(fr *interp.Frame) {
 	if p.cur != nil {
 		p.stack = append(p.stack, p.cur)
 	}
-	p.cur = p.funcs[fr.Func]
+	p.cur = p.byFunc[fr.Func]
 	p.cur.blockFreq[fr.Func.Entry.ID]++
 	// The entry block may itself be a loop header after transformations;
 	// loops are only entered via edges, so nothing else to do.
@@ -368,7 +396,7 @@ func (p *profiler) onEdge(fr *interp.Frame, from, to *ir.Block) {
 	// Maintain the active loop stack for this frame.
 	for n := len(p.active); n > 0; n-- {
 		top := &p.active[n-1]
-		if top.frameID != fr.ID || p.loops[top.loop].contains[to.ID] {
+		if top.frameID != fr.ID || p.contains[top.loop][to.ID] {
 			break
 		}
 		p.active = p.active[:n-1]
@@ -457,10 +485,39 @@ func (p *profiler) onDef(fr *interp.Frame, s *ir.Stmt, v interp.Value) {
 	st.hasPrev = true
 }
 
-// finish materializes the dense tables into the exported profiles.
-func (p *profiler) finish() *Profiles {
+// finish puts the run's tables in their final form — dependence pairs
+// in LoopPairs order, value histograms reduced to patterns — and returns
+// them without the run's lookups, shadow memory and histograms.
+func (p *profiler) finish() *counts {
+	slices.SortFunc(p.pairs, func(a, b pairRec) int {
+		sa, sb := p.stmts[a.w], p.stmts[b.w]
+		ra, rb := p.stmts[a.r], p.stmts[b.r]
+		return cmp.Or(cmp.Compare(a.loop, b.loop), cmp.Compare(sa.ID, sb.ID), cmp.Compare(ra.ID, rb.ID),
+			cmp.Compare(a.w, b.w), cmp.Compare(a.r, b.r))
+	})
+	for i, vi := range p.valueIdx {
+		if vi < 0 || p.values[vi].total == 0 {
+			continue
+		}
+		st := &p.values[vi]
+		p.patterns = append(p.patterns, stmtPattern{stmt: int32(i), p: *bestPattern(st.hist.counts(&p.histBuf), st.total)})
+	}
+	c := p.counts
+	return &c
+}
+
+// materialize builds the exported, pointer-keyed profiles of prog, a
+// program with the memo key of the one counted; nests are its loop
+// nests.
+func (c *counts) materialize(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *Profiles {
 	edge := &EdgeProfile{BlockFreq: make(map[*ir.Block]int64), EdgeCount: make(map[*ir.Block][]int64)}
-	for f, fi := range p.funcs {
+	nStmts := 0
+	for _, f := range prog.Funcs {
+		nStmts += f.NumStmts()
+	}
+	stmts := make([]*ir.Stmt, nStmts) // by statement index
+	for fn, f := range prog.Funcs {
+		fi := c.funcs[fn]
 		for _, b := range f.Blocks {
 			if n := fi.blockFreq[b.ID]; n > 0 {
 				edge.BlockFreq[b] = n
@@ -470,48 +527,51 @@ func (p *profiler) finish() *Profiles {
 			if slices.ContainsFunc(counts, func(c int64) bool { return c > 0 }) {
 				edge.EdgeCount[b] = slices.Clone(counts)
 			}
+			for _, s := range b.Stmts {
+				stmts[int(fi.base)+s.ID] = s
+			}
+		}
+	}
+	loops := make([]*ssa.Loop, len(c.loops)) // by loop index
+	for i, id := range c.loops {
+		for _, l := range nests[prog.Funcs[id.fn]].Loops {
+			if l.Header.ID == int(id.header) {
+				loops[i] = l
+				break
+			}
 		}
 	}
 
 	dep := &DepProfile{
-		Pairs:     make(map[DepKey]*DepCount, len(p.pairs)),
+		Pairs:     make(map[DepKey]*DepCount, len(c.pairs)),
 		WriteExec: make(map[stmtLoop]int64),
 		StmtExec:  make(map[*ir.Stmt]int64),
 		byLoop:    make(map[*ssa.Loop][]DepKey),
 	}
-	for st, w := range p.stores {
-		s := p.stmts[w]
-		if n := p.stmtExec[st]; n > 0 {
+	for st, w := range c.stores {
+		s := stmts[w]
+		if n := c.stmtExec[st]; n > 0 {
 			dep.StmtExec[s] = n
 		}
-		for l, n := range p.writeExec[st*len(p.loops) : (st+1)*len(p.loops)] {
+		for l, n := range c.writeExec[st*len(c.loops) : (st+1)*len(c.loops)] {
 			if n > 0 {
-				dep.WriteExec[stmtLoop{s, p.loops[l].loop}] = n
+				dep.WriteExec[stmtLoop{s, loops[l]}] = n
 			}
 		}
 	}
-	slices.SortFunc(p.pairs, func(a, b pairRec) int {
-		sa, sb := p.stmts[a.w], p.stmts[b.w]
-		ra, rb := p.stmts[a.r], p.stmts[b.r]
-		return cmp.Or(cmp.Compare(a.loop, b.loop), cmp.Compare(sa.ID, sb.ID), cmp.Compare(ra.ID, rb.ID),
-			cmp.Compare(a.w, b.w), cmp.Compare(a.r, b.r))
-	})
-	for i := range p.pairs {
-		pr := &p.pairs[i]
-		l := p.loops[pr.loop].loop
-		k := DepKey{W: p.stmts[pr.w], R: p.stmts[pr.r], Loop: l}
-		c := pr.c
-		dep.Pairs[k] = &c
+	for i := range c.pairs {
+		pr := &c.pairs[i]
+		l := loops[pr.loop]
+		k := DepKey{W: stmts[pr.w], R: stmts[pr.r], Loop: l}
+		dc := pr.c
+		dep.Pairs[k] = &dc
 		dep.byLoop[l] = append(dep.byLoop[l], k)
 	}
 
-	val := &ValueProfile{patterns: make(map[*ir.Stmt]*ValuePattern)}
-	for i, vi := range p.valueIdx {
-		if vi < 0 || p.values[vi].total == 0 {
-			continue
-		}
-		st := &p.values[vi]
-		val.patterns[p.stmts[i]] = bestPattern(st.hist.counts(&p.histBuf), st.total)
+	val := &ValueProfile{patterns: make(map[*ir.Stmt]*ValuePattern, len(c.patterns))}
+	for i := range c.patterns {
+		sp := &c.patterns[i]
+		val.patterns[stmts[sp.stmt]] = &sp.p
 	}
 	return &Profiles{Edge: edge, Dep: dep, Value: val}
 }

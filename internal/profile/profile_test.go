@@ -26,6 +26,18 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 func profileRun(t *testing.T, src string) (*ir.Program, map[*ir.Func]*ssa.LoopNest, *profile.Profiles) {
 	t.Helper()
+	prog, nests := buildProgram(t, src)
+	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return prog, nests, prof
+}
+
+// buildProgram builds src in SSA form and finds its loop nests, the
+// state the pipeline profiles.
+func buildProgram(t testing.TB, src string) (*ir.Program, map[*ir.Func]*ssa.LoopNest) {
+	t.Helper()
 	p, err := parser.Parse("t.spl", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -44,11 +56,7 @@ func profileRun(t *testing.T, src string) (*ir.Program, map[*ir.Func]*ssa.LoopNe
 		ssa.Build(f, dom)
 		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
 	}
-	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return prog, nests, prof
+	return prog, nests
 }
 
 func TestEdgeProfileCountsAndProbabilities(t *testing.T) {
@@ -519,11 +527,25 @@ func (p *refProfiler) loopPairs(loop *ssa.Loop, funcOf map[*ir.Stmt]int) []profi
 	return keys
 }
 
+// profileTables is one profile's content in the exported shapes, so a
+// profile can be compared with the reference profiler or with another
+// profile.
+type profileTables struct {
+	blockFreq map[*ir.Block]int64
+	edgeCount map[*ir.Block][]int64
+	pairs     map[profile.DepKey]*profile.DepCount
+	writeExec map[profile.StmtLoop]int64
+	stmtExec  map[*ir.Stmt]int64
+	loopPairs func(*ssa.Loop) []profile.DepKey
+	pattern   func(*ir.Stmt) *profile.ValuePattern
+}
+
+func tablesOf(p *profile.Profiles) profileTables {
+	return profileTables{p.Edge.BlockFreq, p.Edge.EdgeCount, p.Dep.Pairs, p.Dep.WriteExec, p.Dep.StmtExec, p.Dep.LoopPairs, p.Value.Pattern}
+}
+
 // checkMatchesReference profiles prog with Run and with refProfiler and
-// requires identical edge counts, dependence pairs (and LoopPairs order),
-// write and store counts, and value patterns for every integer
-// assignment inside a loop. It returns how many pairs and patterns it
-// compared.
+// compares the two with compareProfiles.
 func checkMatchesReference(t *testing.T, prog *ir.Program) (pairs, patterns int) {
 	t.Helper()
 	nests := make(map[*ir.Func]*ssa.LoopNest)
@@ -540,22 +562,6 @@ func checkMatchesReference(t *testing.T, prog *ir.Program) (pairs, patterns int)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("reference profile: %v", err)
 	}
-
-	if !reflect.DeepEqual(got.Edge.BlockFreq, ref.blockFreq) {
-		t.Errorf("BlockFreq differs: %d blocks, reference %d", len(got.Edge.BlockFreq), len(ref.blockFreq))
-	}
-	if !reflect.DeepEqual(got.Edge.EdgeCount, ref.edgeCount) {
-		t.Errorf("EdgeCount differs: %d blocks, reference %d", len(got.Edge.EdgeCount), len(ref.edgeCount))
-	}
-	if !reflect.DeepEqual(got.Dep.Pairs, ref.pairs) {
-		t.Errorf("Pairs differ: %d pairs, reference %d", len(got.Dep.Pairs), len(ref.pairs))
-	}
-	if !reflect.DeepEqual(got.Dep.WriteExec, ref.writeExec) {
-		t.Errorf("WriteExec differs: %d entries, reference %d", len(got.Dep.WriteExec), len(ref.writeExec))
-	}
-	if !reflect.DeepEqual(got.Dep.StmtExec, ref.stmtExec) {
-		t.Errorf("StmtExec differs: %d statements, reference %d", len(got.Dep.StmtExec), len(ref.stmtExec))
-	}
 	funcOf := make(map[*ir.Stmt]int)
 	for i, f := range prog.Funcs {
 		for _, b := range f.Blocks {
@@ -564,20 +570,46 @@ func checkMatchesReference(t *testing.T, prog *ir.Program) (pairs, patterns int)
 			}
 		}
 	}
+	want := profileTables{ref.blockFreq, ref.edgeCount, ref.pairs, ref.writeExec, ref.stmtExec,
+		func(l *ssa.Loop) []profile.DepKey { return ref.loopPairs(l, funcOf) }, ref.pattern}
+	return compareProfiles(t, prog, nests, tablesOf(got), want)
+}
+
+// compareProfiles requires identical edge counts, dependence pairs (and
+// LoopPairs order), write and store counts, and value patterns for every
+// integer assignment inside a loop of prog. It returns how many pairs
+// and patterns it compared.
+func compareProfiles(t *testing.T, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest, got, want profileTables) (pairs, patterns int) {
+	t.Helper()
+	if !reflect.DeepEqual(got.blockFreq, want.blockFreq) {
+		t.Errorf("BlockFreq differs: %d blocks, want %d", len(got.blockFreq), len(want.blockFreq))
+	}
+	if !reflect.DeepEqual(got.edgeCount, want.edgeCount) {
+		t.Errorf("EdgeCount differs: %d blocks, want %d", len(got.edgeCount), len(want.edgeCount))
+	}
+	if !reflect.DeepEqual(got.pairs, want.pairs) {
+		t.Errorf("Pairs differ: %d pairs, want %d", len(got.pairs), len(want.pairs))
+	}
+	if !reflect.DeepEqual(got.writeExec, want.writeExec) {
+		t.Errorf("WriteExec differs: %d entries, want %d", len(got.writeExec), len(want.writeExec))
+	}
+	if !reflect.DeepEqual(got.stmtExec, want.stmtExec) {
+		t.Errorf("StmtExec differs: %d statements, want %d", len(got.stmtExec), len(want.stmtExec))
+	}
 	for _, f := range prog.Funcs {
 		for _, l := range nests[f].Loops {
-			want := ref.loopPairs(l, funcOf)
-			if gotKeys := got.Dep.LoopPairs(l); !slices.Equal(gotKeys, want) {
-				t.Errorf("%s %v: LoopPairs %d keys, reference %d (or order differs)", f.Name, l, len(gotKeys), len(want))
+			wantKeys := want.loopPairs(l)
+			if gotKeys := got.loopPairs(l); !slices.Equal(gotKeys, wantKeys) {
+				t.Errorf("%s %v: LoopPairs %d keys, want %d (or order differs)", f.Name, l, len(gotKeys), len(wantKeys))
 			}
-			pairs += len(want)
+			pairs += len(wantKeys)
 			for _, b := range l.Blocks {
 				for _, s := range b.Stmts {
 					if s.Kind != ir.StmtAssign || s.Dst == nil || s.Dst.Kind != ir.ValInt {
 						continue
 					}
-					if g, w := got.Value.Pattern(s), ref.pattern(s); !reflect.DeepEqual(g, w) {
-						t.Errorf("%s s%d: pattern %+v, reference %+v", f.Name, s.ID, g, w)
+					if g, w := got.pattern(s), want.pattern(s); !reflect.DeepEqual(g, w) {
+						t.Errorf("%s s%d: pattern %+v, want %+v", f.Name, s.ID, g, w)
 					}
 					patterns++
 				}

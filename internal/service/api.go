@@ -159,9 +159,11 @@ type SimulateRequest struct {
 	// Compare additionally compiles and simulates the non-SPT base
 	// program and reports it in Base/BaseOutput (ignored at level base).
 	Compare bool `json:"compare,omitempty"`
-	// CoverageMaxBody, when > 0, runs the auxiliary coverage simulation
-	// attributing cycles to every natural loop with body size at most
-	// this limit, and reports MaxCoverage (the Figure 16 upper bar).
+	// CoverageMaxBody, when > 0, makes the simulation attribute cycles
+	// to every natural loop with body size at most this limit and reports
+	// MaxCoverage (the Figure 16 upper bar, defined on the base
+	// program's cycles). Accepted only at level base; other levels are
+	// rejected as malformed.
 	CoverageMaxBody int `json:"coverage_max_body,omitempty"`
 }
 
@@ -225,7 +227,7 @@ type SimulateResponse struct {
 	// levels for a correct transformation).
 	Output string      `json:"output"`
 	Sim    *SimSummary `json:"sim"`
-	// MaxCoverage is filled when CoverageMaxBody > 0.
+	// MaxCoverage is filled when CoverageMaxBody > 0 (level base only).
 	MaxCoverage float64 `json:"max_coverage,omitempty"`
 	// Base/BaseOutput are filled when Compare was set at a non-base level.
 	Base       *SimSummary `json:"base,omitempty"`

@@ -106,20 +106,33 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestSimulateMachineOverride pins that a custom machine config and the
 // coverage measurement travel through the daemon: the overridden config
-// changes the simulation, and MaxCoverage is populated.
+// changes the simulation, MaxCoverage is populated for a base request,
+// and coverage at any other level is rejected as malformed.
 func TestSimulateMachineOverride(t *testing.T) {
 	srv, _ := startServer(t, Config{Workers: 2})
 	remote := &Remote{URL: srv.URL()}
 	src := splgen.Generate(42)
 
-	def, err := remote.Simulate(&SimulateRequest{Name: "m.spl", Source: src, Level: "best", CoverageMaxBody: 1 << 20})
+	base, err := remote.Simulate(&SimulateRequest{Name: "m.spl", Source: src, Level: "base", CoverageMaxBody: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.MaxCoverage <= 0 || def.MaxCoverage > 1.0001 {
-		t.Errorf("MaxCoverage = %v, want (0, 1]", def.MaxCoverage)
+	if base.MaxCoverage <= 0 || base.MaxCoverage > 1.0001 {
+		t.Errorf("MaxCoverage = %v, want (0, 1]", base.MaxCoverage)
+	}
+	_, err = remote.Simulate(&SimulateRequest{Name: "m.spl", Source: src, Level: "best", CoverageMaxBody: 1 << 20})
+	var rerr *RequestError
+	if !errors.As(err, &rerr) {
+		t.Errorf("coverage at best: error = %v, want RequestError", err)
 	}
 
+	def, err := remote.Simulate(&SimulateRequest{Name: "m.spl", Source: src, Level: "best"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Output != base.Output {
+		t.Errorf("best output differs from base")
+	}
 	cfg := machine.DefaultConfig()
 	cfg.ForkOverhead *= 8
 	slow, err := remote.Simulate(&SimulateRequest{Name: "m.spl", Source: src, Level: "best", Machine: &cfg})

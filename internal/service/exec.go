@@ -123,12 +123,15 @@ func (w *captureWriter) Write(p []byte) (int, error) {
 func (w *captureWriter) String() string { return string(w.buf) }
 
 // ExecSimulate runs one compile+simulate request in-process: the level
-// compile, its simulation, the optional coverage measurement
-// (CoverageMaxBody) and the optional Compare base run.
+// compile, its simulation (measuring coverage too when CoverageMaxBody
+// asks for it) and the optional Compare base run.
 func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 	lvl, err := parseLevel(req.Level)
 	if err != nil {
 		return nil, err
+	}
+	if req.CoverageMaxBody > 0 && lvl != core.LevelBase {
+		return nil, &RequestError{Msg: fmt.Sprintf("coverage_max_body measures the base program; level %s is not base", lvl)}
 	}
 	if req.Options.CountersOnly {
 		// Both extras exist to measure cycles, which counters-only mode
@@ -155,6 +158,14 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 	cdur := time.Since(cstart)
 
 	simOpt := core.SimulationOptions(res)
+	if req.CoverageMaxBody > 0 {
+		// A base program has no SPT loops, so its run options take the
+		// coverage attribution whole; attribution observes the run
+		// without changing it.
+		if cov, sizes := core.CoverageOptions(res.Prog, req.CoverageMaxBody); len(sizes) > 0 {
+			simOpt.AttributeLoops, simOpt.LoopBlocks = cov.AttributeLoops, cov.LoopBlocks
+		}
+	}
 	simOpt.Trace = env.Track
 	simOpt.Context = env.ctx()
 	simOpt.Engine = env.Engine
@@ -175,26 +186,8 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 		Sim:     SimData(sim),
 	}
 	resp.Compile.Name = req.Name
-
 	if req.CoverageMaxBody > 0 {
-		covOpt, sizes := core.CoverageOptions(res.Prog, req.CoverageMaxBody)
-		covOpt.Trace = env.Track
-		covOpt.TraceName = "coverage"
-		covOpt.Context = env.ctx()
-		covOpt.Engine = env.Engine
-		if len(sizes) > 0 {
-			covSim, err := eng.Run(res.Prog, cfg, covOpt)
-			if err != nil {
-				return nil, fmt.Errorf("coverage simulate: %w", err)
-			}
-			var covered float64
-			for _, c := range covSim.CyclesByLoop {
-				covered += c
-			}
-			if covSim.Cycles > 0 {
-				resp.MaxCoverage = covered / covSim.Cycles
-			}
-		}
+		resp.MaxCoverage = core.MaxCoverage(sim)
 	}
 
 	if req.Compare && lvl != core.LevelBase {
