@@ -127,9 +127,12 @@ func (v *ValuePattern) Confidence() float64 {
 	return float64(v.BestCount) / float64(v.Total)
 }
 
-// ValueProfile records value patterns for the integer assignments inside
-// a loop of their own function, the statements software value prediction
-// considers.
+// ValueProfile records value patterns for the loop-carried integer
+// definitions: the integer assignments a loop-header phi reaches along a
+// back edge, directly or through other phis of the same loop. They are
+// the only statements software value prediction queries — its violation
+// candidates are integer assignments whose value crosses a header phi —
+// and Pattern returns nil for every other statement.
 type ValueProfile struct {
 	patterns map[*ir.Stmt]*ValuePattern
 }
@@ -229,13 +232,14 @@ type profiler struct {
 	contains [][]bool   // by loop index: membership by Block.ID within the loop's function
 
 	// Dependence profiling. active is the global stack of live loop
-	// instances across the call stack; writes snapshot it so reads can
+	// instances across the call stack. clock advances on every loop entry
+	// and back edge; writes and instances carry clock stamps so reads can
 	// classify intra/cross.
-	active       []loopInst
-	nextInstance int64
-	shadow       []writeRec // by address
-	storeIdx     []int32    // by statement index: store index, or -1
-	pairIdx      map[uint64]int32
+	active   []loopInst
+	clock    int64
+	shadow   []writeRec // by address
+	storeIdx []int32    // by statement index: store index, or -1
+	pairIdx  map[uint64]int32
 
 	// Value profiling.
 	valueIdx []int32 // by statement index: values index, or -1
@@ -243,27 +247,32 @@ type profiler struct {
 	histBuf  []strideCount // merge scratch shared by every histogram
 }
 
+// loopInst is one live loop instance, stamped with the clock at its
+// entry, at the start of its current iteration, and at the start of the
+// previous iteration (-1 during the first).
 type loopInst struct {
-	loop     int32
-	frameID  int64
-	instance int64
-	iter     int64
+	loop                  int32
+	frameID               int64
+	start, iterAt, prevAt int64
 }
 
+// maxSnapDepth is how many of the innermost loop instances live at a
+// write a later read can classify the dependence at.
 const maxSnapDepth = 6
 
 // writeRec is the shadow of one memory word: the last statement to write
-// it and the innermost live loop instances at that write. depth is the
-// length of the active stack then, so snap[j] was at position depth-1-j.
+// it, the length of the active stack then, and the clock at the write.
+//
+// An instance keeps its stack position while it lives and an ended one
+// never returns, and every entry advances the clock, so the instance at
+// position pos when the word is read is one the write saw iff its start
+// is at most t. The write then fell in the current iteration iff that
+// began at or before t, and in the previous one iff only the previous
+// one did.
 type writeRec struct {
 	stmt  int32 // statement index + 1; 0 if never written
 	depth int32
-	snap  [maxSnapDepth]instIter
-}
-
-type instIter struct {
-	instance int64
-	iter     int64
+	t     int64
 }
 
 type pairRec struct {
@@ -311,19 +320,19 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 		for i := range fi.header {
 			fi.header[i] = -1
 		}
-		var inLoop []bool
+		var carried []bool
 		if nest := nests[f]; nest != nil {
-			inLoop = make([]bool, nb)
+			first := len(p.contains)
 			for _, l := range nest.Loops {
 				contains := make([]bool, nb)
 				for _, b := range l.Blocks {
 					contains[b.ID] = true
-					inLoop[b.ID] = true
 				}
 				fi.header[l.Header.ID] = int32(len(p.loops))
 				p.loops = append(p.loops, loopID{fn: int32(fn), header: int32(l.Header.ID)})
 				p.contains = append(p.contains, contains)
 			}
+			carried = loopCarried(f, nest.Loops, p.contains[first:])
 		}
 		for _, b := range f.Blocks {
 			for _, s := range b.Stmts {
@@ -333,7 +342,7 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 				case s.Kind == ir.StmtStoreG || s.Kind == ir.StmtStoreA:
 					p.storeIdx[i] = int32(len(p.stores))
 					p.stores = append(p.stores, int32(i))
-				case s.Kind == ir.StmtAssign && s.Dst != nil && s.Dst.Kind == ir.ValInt && inLoop != nil && inLoop[b.ID]:
+				case carried != nil && carried[s.ID] && s.Kind == ir.StmtAssign && s.Dst.Kind == ir.ValInt:
 					p.valueIdx[i] = int32(len(p.values))
 					p.values = append(p.values, valueState{})
 				}
@@ -349,6 +358,61 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 	// earlier run's shadow survived a garbage collection.
 	p.shadow = make([]writeRec, prog.Layout())
 	return p
+}
+
+// loopCarried returns, by Stmt.ID, f's loop-carried definitions: the
+// non-phi statements whose value reaches a header phi of one of loops
+// along a back edge, directly or through phis of the same loop. contains
+// holds each loop's blocks by Block.ID. These are the only definitions
+// a cross-iteration scalar dependence can start from (depgraph's
+// resolveUses walks the same phis), so the only ones whose values
+// software value prediction can ask for.
+func loopCarried(f *ir.Func, loops []*ssa.Loop, contains [][]bool) []bool {
+	type site struct {
+		s *ir.Stmt
+		b *ir.Block
+	}
+	defs := make([]site, f.NumVars()) // by Var.ID
+	for _, b := range f.Blocks {
+		for _, s := range b.Stmts {
+			if v := s.Defs(); v != nil {
+				defs[v.ID] = site{s, b}
+			}
+		}
+	}
+	carried := make([]bool, f.NumStmts())
+	seen := make([]bool, f.NumStmts()) // phis walked for the current loop
+	var in []bool
+	var walk func(v *ir.Var)
+	walk = func(v *ir.Var) {
+		d := defs[v.ID]
+		if d.s == nil || !in[d.b.ID] || seen[d.s.ID] {
+			return
+		}
+		if d.s.Kind != ir.StmtPhi {
+			carried[d.s.ID] = true
+			return
+		}
+		seen[d.s.ID] = true
+		for _, a := range d.s.PhiArgs {
+			walk(a)
+		}
+	}
+	for i, l := range loops {
+		in = contains[i]
+		clear(seen)
+		for _, s := range l.Header.Stmts {
+			if s.Kind != ir.StmtPhi {
+				continue
+			}
+			for j, a := range s.PhiArgs {
+				if j < len(l.Header.Preds) && in[l.Header.Preds[j].ID] {
+					walk(a)
+				}
+			}
+		}
+	}
+	return carried
 }
 
 func (p *profiler) hooks() interp.Hooks {
@@ -402,11 +466,12 @@ func (p *profiler) onEdge(fr *interp.Frame, from, to *ir.Block) {
 		p.active = p.active[:n-1]
 	}
 	if l := fi.header[to.ID]; l >= 0 {
+		p.clock++
 		if n := len(p.active); n > 0 && p.active[n-1].loop == l && p.active[n-1].frameID == fr.ID {
-			p.active[n-1].iter++ // back edge
+			top := &p.active[n-1] // back edge
+			top.prevAt, top.iterAt = top.iterAt, p.clock
 		} else {
-			p.nextInstance++
-			p.active = append(p.active, loopInst{loop: l, frameID: fr.ID, instance: p.nextInstance})
+			p.active = append(p.active, loopInst{loop: l, frameID: fr.ID, start: p.clock, iterAt: p.clock, prevAt: -1})
 		}
 	}
 }
@@ -415,13 +480,7 @@ func (p *profiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
 	w := p.cur.base + int32(s.ID)
 	st := int(p.storeIdx[w])
 	p.stmtExec[st]++
-	rec := &p.shadow[addr]
-	rec.stmt = w + 1
-	rec.depth = int32(len(p.active))
-	for j := range min(len(p.active), maxSnapDepth) {
-		a := &p.active[len(p.active)-1-j]
-		rec.snap[j] = instIter{instance: a.instance, iter: a.iter}
-	}
+	p.shadow[addr] = writeRec{stmt: w + 1, depth: int32(len(p.active)), t: p.clock}
 	row := p.writeExec[st*len(p.loops):]
 	for i := range p.active {
 		row[p.active[i].loop]++
@@ -429,30 +488,28 @@ func (p *profiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
 }
 
 func (p *profiler) onLoad(fr *interp.Frame, s *ir.Stmt, op *ir.Op, addr int) {
-	rec := &p.shadow[addr]
+	rec := p.shadow[addr]
 	if rec.stmt == 0 {
 		return
 	}
 	// Classify the dependence at every loop instance live at both the
-	// write and now. An instance keeps its stack position while it lives
-	// and an ended one never returns, so snap[j] can only still be live
-	// at position depth-1-j; and once one has ended, every instance the
-	// write saw inside it has ended too.
-	w, r := rec.stmt-1, p.cur.base+int32(s.ID)
-	for j := min(int(rec.depth), maxSnapDepth) - 1; j >= 0; j-- {
-		pos := int(rec.depth) - 1 - j
-		if pos >= len(p.active) || p.active[pos].instance != rec.snap[j].instance {
+	// write and now, among the write's maxSnapDepth innermost, outermost
+	// first (writeRec says why the stamps decide it). Once one has ended,
+	// every instance the write saw inside it has ended too.
+	w, r, depth := rec.stmt-1, p.cur.base+int32(s.ID), int(rec.depth)
+	for pos := max(depth-maxSnapDepth, 0); pos < depth; pos++ {
+		if pos >= len(p.active) || p.active[pos].start > rec.t {
 			break
 		}
 		a := &p.active[pos]
 		c := p.pair(w, r, a.loop, op)
-		switch wi := rec.snap[j].iter; {
-		case a.iter == wi:
+		switch {
+		case a.iterAt <= rec.t:
 			c.Intra++
-		case a.iter == wi+1:
+		case a.prevAt <= rec.t:
 			c.Cross1++
 			c.CrossAny++
-		case a.iter > wi:
+		default:
 			c.CrossAny++
 		}
 	}

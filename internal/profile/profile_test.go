@@ -577,8 +577,9 @@ func checkMatchesReference(t *testing.T, prog *ir.Program) (pairs, patterns int)
 
 // compareProfiles requires identical edge counts, dependence pairs (and
 // LoopPairs order), write and store counts, and value patterns for every
-// integer assignment inside a loop of prog. It returns how many pairs
-// and patterns it compared.
+// loop-carried integer definition of prog (loopCarriedDefs); got must
+// have no pattern for any other statement. It returns how many pairs and
+// patterns it compared.
 func compareProfiles(t *testing.T, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest, got, want profileTables) (pairs, patterns int) {
 	t.Helper()
 	if !reflect.DeepEqual(got.blockFreq, want.blockFreq) {
@@ -596,6 +597,7 @@ func compareProfiles(t *testing.T, prog *ir.Program, nests map[*ir.Func]*ssa.Loo
 	if !reflect.DeepEqual(got.stmtExec, want.stmtExec) {
 		t.Errorf("StmtExec differs: %d statements, want %d", len(got.stmtExec), len(want.stmtExec))
 	}
+	carried := loopCarriedDefs(prog, nests)
 	for _, f := range prog.Funcs {
 		for _, l := range nests[f].Loops {
 			wantKeys := want.loopPairs(l)
@@ -603,28 +605,191 @@ func compareProfiles(t *testing.T, prog *ir.Program, nests map[*ir.Func]*ssa.Loo
 				t.Errorf("%s %v: LoopPairs %d keys, want %d (or order differs)", f.Name, l, len(gotKeys), len(wantKeys))
 			}
 			pairs += len(wantKeys)
-			for _, b := range l.Blocks {
-				for _, s := range b.Stmts {
-					if s.Kind != ir.StmtAssign || s.Dst == nil || s.Dst.Kind != ir.ValInt {
-						continue
+		}
+		for _, b := range f.Blocks {
+			for _, s := range b.Stmts {
+				if !carried[s] {
+					if g := got.pattern(s); g != nil {
+						t.Errorf("%s s%d: pattern %+v for a statement that is not a loop-carried integer definition", f.Name, s.ID, g)
 					}
-					if g, w := got.pattern(s), want.pattern(s); !reflect.DeepEqual(g, w) {
-						t.Errorf("%s s%d: pattern %+v, want %+v", f.Name, s.ID, g, w)
-					}
-					patterns++
+					continue
 				}
+				if g, w := got.pattern(s), want.pattern(s); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s s%d: pattern %+v, want %+v", f.Name, s.ID, g, w)
+				}
+				patterns++
 			}
 		}
 	}
 	return pairs, patterns
 }
 
+// loopCarriedDefs is the statement set ValueProfile documents, computed
+// on IR pointers: for each loop, the integer assignments reached from
+// its header phis' back-edge arguments, directly or through phis inside
+// the loop.
+func loopCarriedDefs(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) map[*ir.Stmt]bool {
+	set := make(map[*ir.Stmt]bool)
+	for _, f := range prog.Funcs {
+		def := make(map[*ir.Var]*ir.Stmt)
+		blockOf := make(map[*ir.Stmt]*ir.Block)
+		for _, b := range f.Blocks {
+			for _, s := range b.Stmts {
+				if v := s.Defs(); v != nil {
+					def[v], blockOf[s] = s, b
+				}
+			}
+		}
+		for _, l := range nests[f].Loops {
+			seen := make(map[*ir.Stmt]bool)
+			var walk func(v *ir.Var)
+			walk = func(v *ir.Var) {
+				d := def[v]
+				if d == nil || seen[d] || !l.Contains(blockOf[d]) {
+					return
+				}
+				seen[d] = true
+				switch {
+				case d.Kind == ir.StmtPhi:
+					for _, a := range d.PhiArgs {
+						walk(a)
+					}
+				case d.Kind == ir.StmtAssign && d.Dst.Kind == ir.ValInt:
+					set[d] = true
+				}
+			}
+			for _, phi := range l.Header.Stmts {
+				if phi.Kind != ir.StmtPhi {
+					continue
+				}
+				for i, a := range phi.PhiArgs {
+					if i < len(l.Header.Preds) && l.Contains(l.Header.Preds[i]) {
+						walk(a)
+					}
+				}
+			}
+		}
+	}
+	return set
+}
+
+// shadowCases are hand-written programs for the shadow memory's edge
+// cases: a write seen by more loop instances than a record keeps, a loop
+// whose instances sit at different stack positions, an instance ended
+// mid-iteration, and a write older than the instance reading it.
+var shadowCases = []struct{ name, src string }{
+	{"nest8", `
+var a int[16];
+var s int;
+func main() {
+	var i0 int; var i1 int; var i2 int; var i3 int;
+	var i4 int; var i5 int; var i6 int; var i7 int;
+	for (i0 = 0; i0 < 2; i0++) {
+		a[0] = a[0] + i0;
+		for (i1 = 0; i1 < 2; i1++) {
+			a[1] = a[0] + i1;
+			for (i2 = 0; i2 < 2; i2++) {
+				a[2] = a[1] + a[2];
+				for (i3 = 0; i3 < 2; i3++) {
+					a[3] = a[2] + a[0];
+					for (i4 = 0; i4 < 3; i4++) {
+						a[4] = a[3] + a[4];
+						for (i5 = 0; i5 < 2; i5++) {
+							a[5] = a[4] + a[1];
+							for (i6 = 0; i6 < 3; i6++) {
+								a[6] = a[5] + a[6];
+								for (i7 = 0; i7 < 2; i7++) {
+									a[7] = a[7] + a[6] + a[0] + a[3];
+									s = s + a[8];
+								}
+								a[8] = a[7] + a[2];
+							}
+							s = s + a[7];
+						}
+					}
+				}
+				s = s + a[8] + a[5];
+			}
+		}
+		s = s + a[6];
+	}
+	print(s);
+}
+`},
+	{"recursion", `
+var g int[16];
+var s int;
+func rec(d int) {
+	var i int;
+	for (i = 0; i < 3; i++) {
+		g[d] = g[d] + i;
+		s = s + g[0] + g[d + 1];
+		if (d < 4) { rec(d + 1); }
+		g[0] = g[0] + d;
+	}
+}
+func main() {
+	var j int;
+	for (j = 0; j < 2; j++) { rec(0); }
+	print(s);
+}
+`},
+	{"return", `
+var a int[64];
+func find(k int) int {
+	var i int;
+	for (i = 0; i < 64; i++) {
+		a[i] = a[i] + k;
+		if (a[i] > 10 + k) { return i; }
+		a[(i + 1) & 63] = a[(i + 1) & 63] + 1;
+	}
+	return -1;
+}
+func main() {
+	var j int;
+	var s int;
+	for (j = 0; j < 30; j++) { s = s + find(j) + a[j & 63]; }
+	print(s);
+}
+`},
+	{"before", `
+var x int;
+var a int[8];
+func main() {
+	var i int;
+	var j int;
+	var s int;
+	x = 5;
+	a[3] = 7;
+	for (i = 0; i < 10; i++) {
+		a[i & 7] = a[i & 7] + 1;
+		for (j = 0; j < 4; j++) {
+			s = s + x + a[3] + a[i & 7];
+		}
+		if (i == 4) { x = i; }
+	}
+	print(s);
+}
+`},
+}
+
 // TestProfileMatchesReference pins the dense profiler to refProfiler on
-// the benchmark suite's output at every profiled level (unrolled,
-// privatized, SVP-rewritten and SPT-transformed IR) and on generated
-// programs.
+// the shadow edge cases, on the benchmark suite's output at every
+// profiled level (unrolled, privatized, SVP-rewritten and SPT-transformed
+// IR) and on generated programs.
 func TestProfileMatchesReference(t *testing.T) {
 	var pairs, patterns int
+	for _, c := range shadowCases {
+		t.Run("shadow/"+c.name, func(t *testing.T) {
+			prog, _ := buildProgram(t, c.src)
+			np, nv := checkMatchesReference(t, prog)
+			if np == 0 {
+				t.Errorf("no dependence pair observed")
+			}
+			pairs += np
+			patterns += nv
+		})
+	}
 	for _, b := range benchprog.Suite() {
 		for _, level := range []sptc.Level{sptc.LevelBasic, sptc.LevelBest, sptc.LevelAnticipated} {
 			t.Run(b.Name+"/"+level.String(), func(t *testing.T) {

@@ -25,6 +25,9 @@ var (
 )
 
 func TestMain(m *testing.M) {
+	if bin := os.Getenv(holdEnv); bin != "" {
+		os.Exit(holdDaemon(bin))
+	}
 	flag.Parse()
 	if testing.Short() {
 		os.Exit(m.Run())

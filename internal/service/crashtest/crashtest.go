@@ -56,10 +56,12 @@ type Daemon struct {
 }
 
 // Start launches bin with args plus "-addr 127.0.0.1:0" and waits for
-// its listening line. The caller owns the process: Kill or Stop it.
+// its listening line. The caller owns the process: Kill or Stop it. On
+// Linux the daemon is also killed when the calling process dies.
 func Start(bin string, args ...string) (*Daemon, error) {
 	d := &Daemon{done: make(chan struct{})}
 	d.cmd = exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	orphanProof(d.cmd)
 	stdout, err := d.cmd.StdoutPipe()
 	if err != nil {
 		return nil, err

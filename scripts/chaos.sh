@@ -5,8 +5,9 @@
 # concurrent load, SIGKILLs it at randomized points, restarts it on the
 # same cache files, and asserts the durability contract — salvage never
 # fails, no torn entry is ever served, and every response behind a
-# completed flush comes back warm and byte-identical after restart.
-# Then runs the flush-interval sweep and writes the durability/latency
+# completed flush comes back warm and byte-identical after restart, and
+# that a daemon dies with the process that started it. Then runs the
+# flush-interval sweep and writes the durability/latency
 # trade-off table (warm p50/p95 vs max-loss window) as BENCH_pr9.json.
 #
 # Usage: scripts/chaos.sh [output.json]
@@ -20,7 +21,7 @@ cycles=${SPTD_CHAOS_CYCLES:-6}
 # The test binary — the concurrent client load and all salvage-side
 # assertions — is race-instrumented; the sptd binary under test is the
 # real production build.
-SPTD_CHAOS_CYCLES="$cycles" go test -race -run 'TestCrashRestartCycles' -count=1 -v ./internal/service/crashtest/
+SPTD_CHAOS_CYCLES="$cycles" go test -race -run 'TestCrashRestartCycles|TestDaemonDiesWithParent' -count=1 -v ./internal/service/crashtest/
 
 SPTD_BENCH_OUT="$(pwd)/$out" go test -run 'TestFlushIntervalSweep' -count=1 -v ./internal/service/crashtest/
 echo "wrote $out" >&2
