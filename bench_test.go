@@ -598,65 +598,6 @@ func BenchmarkSimulateTree(b *testing.B) {
 	b.ReportMetric(float64(ops), "sim_instructions")
 }
 
-// BenchmarkSimulateCounters measures the same simulation as
-// BenchmarkSimulate in counters-only mode (RunOptions.CountersOnly):
-// identical control flow and fidelity counters, no cycle accounting.
-// The in-process ratio to BenchmarkSimulate is the counters-only
-// speedup on a single speculation-heavy program.
-func BenchmarkSimulateCounters(b *testing.B) {
-	res := compiled(b, "gap", core.LevelBest)
-	opt := sptc.SimulationOptions(res)
-	opt.Out = io.Discard
-	opt.CountersOnly = true
-	cfg := machine.DefaultConfig()
-	var ops int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := machine.Run(res.Prog, cfg, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ops = sim.Ops
-	}
-	b.ReportMetric(float64(ops), "sim_instructions")
-}
-
-// BenchmarkRunBatchCounters is BenchmarkRunBatch's suite sweep in
-// counters-only mode — the counters-only target workload (parameter
-// sweeps that read speculation counters, never cycles). The ratio of
-// BenchmarkRunBatch/w1 to BenchmarkRunBatchCounters/w1 is the
-// counters-only sweep speedup.
-func BenchmarkRunBatchCounters(b *testing.B) {
-	var jobs []machine.BatchJob
-	for _, bench := range benchprog.Suite() {
-		res := compiled(b, bench.Name, core.LevelBest)
-		opt := sptc.SimulationOptions(res)
-		opt.Out = io.Discard
-		opt.CountersOnly = true
-		jobs = append(jobs, machine.BatchJob{Prog: res.Prog, Config: machine.DefaultConfig(), Opt: opt})
-	}
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{
-		{"w1", 1}, {"wmax", 0},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				ops = 0
-				for _, r := range machine.RunBatch(jobs, machine.BatchOptions{Workers: c.workers}) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-					ops += r.Res.Ops
-				}
-			}
-			b.ReportMetric(float64(ops), "sim_instructions")
-		})
-	}
-}
-
 // BenchmarkRunBatch measures the batched entry point over the whole
 // benchmark suite at the best level: one RunBatch call simulates every
 // program on worker-owned pooled engines. The w1/wmax pair separates

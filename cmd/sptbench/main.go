@@ -51,8 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig19    = fs.Bool("fig19", false, "print Figure 19 (cost correlation)")
 		benches  = fs.String("bench", "", "comma-separated benchmark subset")
 		level    = fs.String("level", "best", "detail level for figures 15-19 (basic|best|anticipated)")
-		engine   = fs.String("engine", "bytecode", "simulation engine: bytecode|tree (bit-identical results)")
-		simMode  = fs.String("sim-mode", "full", "simulation fidelity: full|counters (counters skips cycle accounting: counter columns stay bit-identical, cycle-derived figures read zero)")
 		verbose  = fs.Bool("v", false, "log progress and per-job metrics")
 		csvOut   = fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
 		jobs     = fs.Int("j", 0, "concurrent compile+simulate jobs (0 = NumCPU)")
@@ -80,16 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := evalharness.DefaultEvalOptions()
-	opt.Engine, ok = cliutil.ParseEngine(*engine)
-	if !ok {
-		fmt.Fprintf(stderr, "sptbench: unknown engine %q\n", *engine)
-		return 2
-	}
-	opt.CountersOnly, ok = cliutil.ParseSimMode(*simMode)
-	if !ok {
-		fmt.Fprintf(stderr, "sptbench: unknown sim-mode %q\n", *simMode)
-		return 2
-	}
 	if *benches != "" {
 		// Benchmark names arrive user-typed ("mcf, VPR"): trim and
 		// lowercase each, and skip empty segments.

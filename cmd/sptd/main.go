@@ -11,12 +11,11 @@
 //	GET  /metrics      admission/outcome/work counters (JSON)
 //	GET  /debug/trace  Chrome trace_event export of recent requests
 //
-// Simulate requests accept "counters_only": true in their options for
-// the counters-only fast mode (bit-identical fidelity counters, no
-// cycle accounting; incompatible with compare/coverage_max_body); such
-// responses are cached under their own key. "coverage_max_body" (the
-// Figure 16 maximum-coverage measurement) is accepted only at level
-// base, where the one simulation measures it.
+// Request bodies are decoded strictly: an unknown field (a misspelt or
+// retired option) is a 400 of kind "request", never silently ignored.
+// A simulate request's "coverage_max_body" (the Figure 16
+// maximum-coverage measurement) is accepted only at level base, where
+// the one simulation measures it.
 //
 // Admission is bounded: at most -queue-depth requests wait for the
 // -workers pool, and excess load is rejected with HTTP 429 rather than
@@ -48,7 +47,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"sptc/internal/cliutil"
 	"sptc/internal/resilience"
 	"sptc/internal/service"
 )
@@ -61,10 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sptd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cfg service.Config
-	var (
-		engine = fs.String("engine", "bytecode", "simulation engine: bytecode|tree (bit-identical results)")
-		inject = fs.String("inject", "", "arm fault-injection points: `point=panic|delay:DUR|error|exhaust[,...]`")
-	)
+	inject := fs.String("inject", "", "arm fault-injection points: `point=panic|delay:DUR|error|exhaust[,...]`")
 	fs.StringVar(&cfg.Addr, "addr", ":8347", "listen `address` (\":0\" picks a free port)")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", 0, "max requests waiting for a worker before 429 (0 = default 256)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "request execution workers (0 = NumCPU)")
@@ -85,12 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 2
 	}
-	eng, ok := cliutil.ParseEngine(*engine)
-	if !ok {
-		fmt.Fprintf(stderr, "sptd: unknown engine %q\n", *engine)
-		return 2
-	}
-	cfg.Engine = eng
 	if *inject != "" {
 		if err := resilience.ArmSpec(*inject); err != nil {
 			fmt.Fprintf(stderr, "sptd: %v\n", err)

@@ -43,7 +43,6 @@ func TestFlagErrors(t *testing.T) {
 	}{
 		{"positional-arg", []string{"demo.spl"}, 2, "usage: sptd"},
 		{"unknown-flag", []string{"-frobnicate"}, 2, "flag provided but not defined"},
-		{"bad-engine", []string{"-engine", "quantum"}, 2, `unknown engine "quantum"`},
 		{"bad-inject", []string{"-inject", "core.pass1.loop=frobnicate"}, 2, "unknown fault"},
 		{"bad-timeout", []string{"-req-timeout", "soon"}, 2, "invalid value"},
 		{"bad-queue-depth", []string{"-queue-depth", "many"}, 2, "invalid value"},
@@ -177,8 +176,10 @@ func TestServeCompileShutdown(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the daemon's error answers: malformed JSON and
-// unknown levels are 400s, never 500s, and the daemon keeps serving.
+// TestBadRequests pins the daemon's error answers: malformed JSON,
+// unknown levels and unknown fields are 400s, never 500s, and the
+// daemon keeps serving. An unknown field is a misspelt option or one
+// the daemon no longer has; ignoring it would compile a default request.
 func TestBadRequests(t *testing.T) {
 	url, _, wait := startDaemon(t)
 	defer wait()
@@ -201,6 +202,12 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code, kind := post(`{"name":"x","source":"func main() {}","level":"turbo"}`); code != http.StatusBadRequest || kind != "request" {
 		t.Errorf("bad level: status=%d kind=%q, want 400 request", code, kind)
+	}
+	for _, opts := range []string{`{"disable_svpp":true}`, `{"counters_only":true}`} {
+		body := `{"name":"x","source":"func main() {}","level":"best","options":` + opts + `}`
+		if code, kind := post(body); code != http.StatusBadRequest || kind != "request" {
+			t.Errorf("unknown option %s: status=%d kind=%q, want 400 request", opts, code, kind)
+		}
 	}
 	if code, kind := post(`{"name":"x","source":"func main() { !!! }","level":"best"}`); code != http.StatusBadRequest || kind != "compile" {
 		t.Errorf("parse error: status=%d kind=%q, want 400 compile", code, kind)

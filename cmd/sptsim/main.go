@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	sptsim [-level best] [-engine bytecode|tree] [-sim-mode full|counters] [-compare] [-quiet] file.spl
+//	sptsim [-level best] [-compare] [-quiet] file.spl
 package main
 
 import (
@@ -36,8 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		level    = fs.String("level", "best", "compilation level: base|basic|best|anticipated")
-		engine   = fs.String("engine", "bytecode", "simulation engine: bytecode|tree (bit-identical results)")
-		simMode  = fs.String("sim-mode", "full", "simulation fidelity: full|counters (counters skips cycle accounting; all counters stay bit-identical)")
 		compare  = fs.Bool("compare", false, "also simulate the base compilation and report speedup")
 		quiet    = fs.Bool("quiet", false, "suppress program output")
 		traceOut = fs.String("trace", "", "write a Chrome trace_event JSON trace to `file`")
@@ -60,20 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lvl, ok := cliutil.ParseLevel(*level, true)
 	if !ok {
 		fmt.Fprintf(stderr, "sptsim: unknown level %q\n", *level)
-		return 2
-	}
-	eng, ok := cliutil.ParseEngine(*engine)
-	if !ok {
-		fmt.Fprintf(stderr, "sptsim: unknown engine %q\n", *engine)
-		return 2
-	}
-	countersOnly, ok := cliutil.ParseSimMode(*simMode)
-	if !ok {
-		fmt.Fprintf(stderr, "sptsim: unknown sim-mode %q\n", *simMode)
-		return 2
-	}
-	if countersOnly && *compare {
-		fmt.Fprintln(stderr, "sptsim: -compare needs cycles; not available with -sim-mode counters")
 		return 2
 	}
 
@@ -101,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Name:    fs.Arg(0),
 		Source:  string(src),
 		Level:   lvl.String(),
-		Options: service.ReqOptions{SearchBudget: resil.SearchBudget, CountersOnly: countersOnly},
+		Options: service.ReqOptions{SearchBudget: resil.SearchBudget},
 		Compare: *compare,
 	}
 
@@ -112,16 +96,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var client service.Client
 	remote := server.Remote()
 	if remote {
-		// Remote mode: the daemon owns tracing, caching, the engine choice
-		// and pass-1 parallelism; program output arrives in the response.
+		// Remote mode: the daemon owns tracing, caching and pass-1
+		// parallelism; program output arrives in the response.
 		// Transient daemon failures retry with backoff, and an unreachable
 		// daemon degrades to in-process execution (-server-retries /
 		// -server-fallback).
-		client = server.Client(ctx, service.Env{SearchWorkers: resil.SearchWorkers, Engine: eng})
+		client = server.Client(ctx, service.Env{SearchWorkers: resil.SearchWorkers})
 	} else {
 		env := service.Env{
 			SearchWorkers: resil.SearchWorkers,
-			Engine:        eng,
 			Context:       ctx,
 		}
 		store, saveStore := incrFlag.Open()
@@ -153,13 +136,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	sim := resp.Sim
-	if countersOnly {
-		fmt.Fprintf(stdout, "level=%s mode=counters instructions=%d branches=%d mispredicts=%d mem-accesses=%d\n",
-			resp.Level, sim.Ops, sim.BranchLookups, sim.BranchMisses, sim.MemAccesses)
-	} else {
-		fmt.Fprintf(stdout, "level=%s cycles=%.0f instructions=%d ipc=%.2f branches=%d mispredicts=%d mem-accesses=%d\n",
-			resp.Level, sim.Cycles, sim.Ops, sim.IPC(), sim.BranchLookups, sim.BranchMisses, sim.MemAccesses)
-	}
+	fmt.Fprintf(stdout, "level=%s cycles=%.0f instructions=%d ipc=%.2f branches=%d mispredicts=%d mem-accesses=%d\n",
+		resp.Level, sim.Cycles, sim.Ops, sim.IPC(), sim.BranchLookups, sim.BranchMisses, sim.MemAccesses)
 
 	var ids []int
 	for id := range sim.Loops {
@@ -168,11 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sort.Ints(ids)
 	for _, id := range ids {
 		ls := sim.Loops[id]
-		if countersOnly {
-			fmt.Fprintf(stdout, "  SPT loop %d: invocations=%d iterations=%d speculative=%d misspeculated=%d reexec-ratio=%.3f\n",
-				id, ls.Invocations, ls.Iterations, ls.SpecIters, ls.MisspecIters, ls.ReexecRatio())
-			continue
-		}
 		fmt.Fprintf(stdout, "  SPT loop %d: invocations=%d iterations=%d speculative=%d misspeculated=%d reexec-ratio=%.3f loop-speedup=%.2fx\n",
 			id, ls.Invocations, ls.Iterations, ls.SpecIters, ls.MisspecIters, ls.ReexecRatio(), ls.LoopSpeedup())
 	}

@@ -31,7 +31,6 @@ func TestFlagErrors(t *testing.T) {
 		{"extra-args", []string{demo, demo}, 2, "usage: sptsim"},
 		{"unknown-flag", []string{"-frobnicate", demo}, 2, "flag provided but not defined"},
 		{"bad-level", []string{"-level", "turbo", demo}, 2, `unknown level "turbo"`},
-		{"bad-engine", []string{"-engine", "quantum", demo}, 2, `unknown engine "quantum"`},
 		{"missing-file", []string{"no-such-file.spl"}, 1, "no-such-file.spl"},
 	}
 	for _, tc := range cases {
@@ -68,26 +67,6 @@ func TestGoldenSimulate(t *testing.T) {
 	}
 	if stdout != string(want) {
 		t.Errorf("simulate output changed:\n--- want ---\n%s--- got ---\n%s", want, stdout)
-	}
-}
-
-// TestEnginesPrintIdenticalReports runs the full -compare report under
-// both engines: every line — program output, cycles, instruction
-// counts, branch and memory counters, per-loop speculation statistics,
-// base speedup — must match byte for byte, since the engines are
-// bit-identical by contract.
-func TestEnginesPrintIdenticalReports(t *testing.T) {
-	demo := filepath.Join("testdata", "demo.spl")
-	code, bcOut, stderr := runCmd(t, "-level", "best", "-compare", "-engine", "bytecode", demo)
-	if code != 0 {
-		t.Fatalf("bytecode: exit code %d, stderr: %s", code, stderr)
-	}
-	code, treeOut, stderr := runCmd(t, "-level", "best", "-compare", "-engine", "tree", demo)
-	if code != 0 {
-		t.Fatalf("tree: exit code %d, stderr: %s", code, stderr)
-	}
-	if bcOut != treeOut {
-		t.Errorf("engine reports differ:\n--- bytecode ---\n%s--- tree ---\n%s", bcOut, treeOut)
 	}
 }
 

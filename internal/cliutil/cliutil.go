@@ -14,7 +14,6 @@ import (
 
 	"sptc/internal/core"
 	"sptc/internal/incr"
-	"sptc/internal/machine"
 	"sptc/internal/resilience"
 	"sptc/internal/service"
 	"sptc/internal/trace"
@@ -237,36 +236,6 @@ func (s *Server) Client(ctx context.Context, env service.Env) service.Client {
 	}
 	env.Context = ctx
 	return &service.Failover{Remote: r, Local: &service.Local{Env: env}}
-}
-
-// ParseEngine maps the CLI -engine names to simulator engine kinds; ok
-// is false for an unknown name. The two engines are bit-identical in
-// results; "tree" keeps the reference walker reachable for differential
-// debugging and timing comparisons.
-func ParseEngine(name string) (machine.EngineKind, bool) {
-	switch name {
-	case "bytecode":
-		return machine.EngineBytecode, true
-	case "tree":
-		return machine.EngineTree, true
-	}
-	return 0, false
-}
-
-// ParseSimMode maps the CLI -sim-mode names to the simulator's
-// CountersOnly switch; ok is false for an unknown name. "full" is
-// complete fidelity (cycles plus every counter); "counters" skips all
-// cycle accounting and reproduces only the fidelity counters
-// (bit-identical to a full run), substantially faster for sweeps that
-// never read cycles.
-func ParseSimMode(name string) (countersOnly, ok bool) {
-	switch name {
-	case "full":
-		return false, true
-	case "counters":
-		return true, true
-	}
-	return false, false
 }
 
 // ParseLevel maps the CLI level names to core levels; ok is false for an

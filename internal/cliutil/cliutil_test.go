@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -9,8 +10,8 @@ import (
 	"time"
 
 	"sptc/internal/core"
-	"sptc/internal/machine"
 	"sptc/internal/resilience"
+	"sptc/internal/service"
 	"sptc/internal/trace"
 )
 
@@ -154,26 +155,6 @@ func TestResilienceArmBadSpec(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		name string
-		want machine.EngineKind
-		ok   bool
-	}{
-		{"bytecode", machine.EngineBytecode, true},
-		{"tree", machine.EngineTree, true},
-		{"jit", 0, false},
-		{"Bytecode", 0, false}, // names are case-sensitive
-		{"", 0, false},
-	}
-	for _, tc := range cases {
-		got, ok := ParseEngine(tc.name)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("ParseEngine(%q) = (%v, %v), want (%v, %v)", tc.name, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
 func TestResilienceArmBadSpecs(t *testing.T) {
 	cases := []string{
 		"point-without-fault",
@@ -259,5 +240,57 @@ func TestIncrOpenFailSoft(t *testing.T) {
 			}
 			closer() // must never panic or fail the build
 		})
+	}
+}
+
+// TestServerFlags pins how -server, -server-retries and -server-fallback
+// build the daemon client: no -server means in-process; retries above
+// one install a retry policy with that many attempts; fallback (the
+// default) wraps the Remote in a Failover whose Local runs with the
+// caller's environment and context.
+func TestServerFlags(t *testing.T) {
+	parse := func(args ...string) *Server {
+		t.Helper()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		s := AddServerFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if parse().Remote() {
+		t.Error("no -server must mean in-process execution")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	env := service.Env{SearchWorkers: 3}
+
+	c := parse("-server", "http://d:1", "-server-retries", "3", "-server-fallback=false").Client(ctx, env)
+	r, ok := c.(*service.Remote)
+	if !ok {
+		t.Fatalf("-server-fallback=false: client %T, want *service.Remote", c)
+	}
+	if r.URL != "http://d:1" || r.Context != ctx || r.Retry == nil || r.Retry.MaxAttempts != 3 {
+		t.Errorf("remote = %+v, want URL http://d:1, the caller's context and 3 attempts", r)
+	}
+	if r := parse("-server", "http://d:1", "-server-retries", "1", "-server-fallback=false").Client(ctx, env).(*service.Remote); r.Retry != nil {
+		t.Errorf("-server-retries 1: retry policy %+v, want none", r.Retry)
+	}
+
+	s := parse("-server", "http://d:1")
+	if !s.Remote() {
+		t.Error("-server set, Remote() = false")
+	}
+	c = s.Client(ctx, env)
+	f, ok := c.(*service.Failover)
+	if !ok {
+		t.Fatalf("default fallback: client %T, want *service.Failover", c)
+	}
+	if f.Remote.URL != "http://d:1" || f.Remote.Retry == nil || f.Remote.Retry.MaxAttempts != 4 {
+		t.Errorf("failover remote = %+v, want URL http://d:1 with the default 4 attempts", f.Remote)
+	}
+	if f.Local.Env.Context != ctx || f.Local.Env.SearchWorkers != 3 {
+		t.Errorf("failover local env = %+v, want the caller's context and SearchWorkers 3", f.Local.Env)
 	}
 }

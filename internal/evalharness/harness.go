@@ -119,18 +119,6 @@ type Options struct {
 	// Context cancels the whole suite (a hard abort, unlike the per-job
 	// Timeout). Nil means context.Background().
 	Context context.Context
-	// Engine selects the simulator's execution engine (the bytecode
-	// engine by default; machine.EngineTree runs the reference
-	// tree-walker). Results are bit-identical between the two.
-	Engine machine.EngineKind
-	// CountersOnly runs every simulation in counters-only mode
-	// (machine.RunOptions.CountersOnly): the fidelity counters and
-	// program outputs are bit-identical to a full-fidelity suite, but no
-	// cycles are produced, so Speedup, Coverage, and the Figure 16
-	// MaxCoverage measurement read zero (the base simulation carries no
-	// loop attribution). The output-divergence check against base still
-	// runs. Substantially faster for sweeps that only read counters.
-	CountersOnly bool
 	// Incr is an optional loop-result store shared by every level compile
 	// in the suite (see core.Options.Incr); the Store is safe for the
 	// concurrent jobs. Each run's hit/miss counters land in its Metrics.
@@ -142,8 +130,8 @@ type Options struct {
 	// the compilation service (typically a service.Remote against a
 	// running sptd daemon) instead of in-process. Results are
 	// reconstructed from the wire responses, so the figure extraction is
-	// unchanged and agrees with a local run. In this mode Trace, Incr,
-	// SearchWorkers and Engine are the daemon's business and ignored
+	// unchanged and agrees with a local run. In this mode Trace, Incr
+	// and SearchWorkers are the daemon's business and ignored
 	// here; Timeout still applies per job (a *service.Remote is re-bound
 	// to the job's context so the HTTP request is actually canceled).
 	Client service.Client
@@ -335,19 +323,11 @@ func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, 
 	br.once.Do(func() {
 		err := runJob(opt, &br.retried, func(ctx context.Context) error {
 			if opt.Client != nil {
-				// Counters-only mode cannot ask the daemon for the Figure 16
-				// coverage measurement (it needs cycles), so the request
-				// drops CoverageMaxBody and MaxCoverage stays zero.
-				cov := opt.MaxLoopBody
-				if opt.CountersOnly {
-					cov = 0
-				}
 				resp, err := jobClient(opt, ctx).Simulate(&service.SimulateRequest{
 					Name:            b.Name,
 					Source:          b.Source,
 					Level:           core.LevelBase.String(),
-					Options:         service.ReqOptions{CountersOnly: opt.CountersOnly},
-					CoverageMaxBody: cov,
+					CoverageMaxBody: opt.MaxLoopBody,
 				})
 				if err != nil {
 					return fmt.Errorf("base compile+simulate: %w", err)
@@ -373,14 +353,11 @@ func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, 
 				return fmt.Errorf("base compile: %w", err)
 			}
 			var out captureWriter
-			simOpt := machine.RunOptions{Out: &out, Trace: br.track, Context: ctx, Engine: opt.Engine, CountersOnly: opt.CountersOnly}
-			if !opt.CountersOnly {
-				// Figure 16's maximum coverage is measured on this run:
-				// loop attribution observes the simulation without
-				// changing it.
-				if cov, sizes := core.CoverageOptions(res.Prog, opt.MaxLoopBody); len(sizes) > 0 {
-					simOpt.AttributeLoops, simOpt.LoopBlocks = cov.AttributeLoops, cov.LoopBlocks
-				}
+			simOpt := machine.RunOptions{Out: &out, Trace: br.track, Context: ctx}
+			// Figure 16's maximum coverage is measured on this run: loop
+			// attribution observes the simulation without changing it.
+			if cov, sizes := core.CoverageOptions(res.Prog, opt.MaxLoopBody); len(sizes) > 0 {
+				simOpt.AttributeLoops, simOpt.LoopBlocks = cov.AttributeLoops, cov.LoopBlocks
 			}
 			start := time.Now()
 			sim, err := eng.Run(res.Prog, opt.Machine, simOpt)
@@ -456,8 +433,6 @@ func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *Compi
 		simOpt := simulationOptions(res)
 		simOpt.Trace = tk
 		simOpt.Context = ctx
-		simOpt.Engine = opt.Engine
-		simOpt.CountersOnly = opt.CountersOnly
 		var out captureWriter
 		simOpt.Out = &out
 		start := time.Now()
@@ -516,7 +491,7 @@ func runLevelRemote(b benchprog.Benchmark, level core.Level, opt Options, br *ba
 		Name:    b.Name,
 		Source:  b.Source,
 		Level:   level.String(),
-		Options: service.ReqOptions{SearchBudget: budget, CountersOnly: opt.CountersOnly},
+		Options: service.ReqOptions{SearchBudget: budget},
 	})
 	if err != nil {
 		return fmt.Errorf("%s compile+simulate: %w", level, err)

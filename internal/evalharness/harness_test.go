@@ -229,73 +229,3 @@ func TestWriteCSV(t *testing.T) {
 		}
 	}
 }
-
-// TestCountersOnlySuite pins the harness-level counters-only contract:
-// a counters-only suite run reproduces a full-fidelity run's counters
-// (ops, branch and memory counters, per-loop speculation statistics)
-// and program outputs exactly, while every cycle-derived figure —
-// Speedup, Coverage, MaxCoverage, base IPC — reads zero. The
-// output-divergence check against base stays active either way.
-func TestCountersOnlySuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full compile+simulate sweep")
-	}
-	opt := DefaultEvalOptions()
-	opt.Benchmarks = []string{"bzip2", "gap"}
-	opt.Levels = []core.Level{core.LevelBest}
-	full, err := RunSuite(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.CountersOnly = true
-	co, err := RunSuite(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range full.Runs {
-		cr := co.Runs[i]
-		if cr.Base.Cycles != 0 || cr.BaseIPC != 0 {
-			t.Errorf("%s: counters-only base cycles %.0f IPC %.2f, want 0", cr.Name, cr.Base.Cycles, cr.BaseIPC)
-		}
-		if cr.MaxCoverage != 0 {
-			t.Errorf("%s: counters-only MaxCoverage %.3f, want 0 (coverage sim skipped)", cr.Name, cr.MaxCoverage)
-		}
-		if cr.Base.Ops != fr.Base.Ops || cr.Base.MemAccesses != fr.Base.MemAccesses {
-			t.Errorf("%s: base counters diverge: ops %d vs %d, mem %d vs %d",
-				cr.Name, cr.Base.Ops, fr.Base.Ops, cr.Base.MemAccesses, fr.Base.MemAccesses)
-		}
-		if cr.BaseOutput != fr.BaseOutput {
-			t.Errorf("%s: base output diverges between modes", cr.Name)
-		}
-		fl, cl := fr.Levels[core.LevelBest], cr.Levels[core.LevelBest]
-		if cl.Speedup != 0 || cl.Coverage != 0 {
-			t.Errorf("%s: counters-only speedup %.3f coverage %.3f, want 0", cr.Name, cl.Speedup, cl.Coverage)
-		}
-		if cl.Sim.Cycles != 0 {
-			t.Errorf("%s: counters-only Cycles %.0f, want 0", cr.Name, cl.Sim.Cycles)
-		}
-		if cl.Sim.Ops != fl.Sim.Ops ||
-			cl.Sim.BranchLookups != fl.Sim.BranchLookups ||
-			cl.Sim.BranchMisses != fl.Sim.BranchMisses ||
-			cl.Sim.MemAccesses != fl.Sim.MemAccesses {
-			t.Errorf("%s: level counters diverge between modes", cr.Name)
-		}
-		if cl.Output != fl.Output {
-			t.Errorf("%s: level output diverges between modes", cr.Name)
-		}
-		for id, fls := range fl.Sim.Loops {
-			cls := cl.Sim.Loops[id]
-			if cls == nil {
-				t.Errorf("%s: loop %d missing in counters-only run", cr.Name, id)
-				continue
-			}
-			if cls.SpecIters != fls.SpecIters || cls.MisspecIters != fls.MisspecIters ||
-				cls.Forks != fls.Forks || cls.SpecOps != fls.SpecOps || cls.ReexecOps != fls.ReexecOps {
-				t.Errorf("%s: loop %d speculation counters diverge between modes", cr.Name, id)
-			}
-			if cls.Elapsed != 0 || cls.SpecCycles != 0 || cls.SeqCycles != 0 {
-				t.Errorf("%s: loop %d carries cycle state in counters-only mode", cr.Name, id)
-			}
-		}
-	}
-}

@@ -49,11 +49,6 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 		sp.Str("error", err.Error())
 		return nil, err
 	}
-	if opt.CountersOnly && opt.AttributeLoops != nil {
-		err := errors.New("machine: CountersOnly skips cycle accounting; loop attribution (AttributeLoops) is unavailable")
-		sp.Str("error", err.Error())
-		return nil, err
-	}
 	if err := injectRun.Fire(opt.Context); err != nil {
 		sp.Str("error", err.Error())
 		return nil, err
@@ -115,17 +110,6 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 		BranchMisses:  s.bpM.misses + s.bpS.misses,
 		MemAccesses:   s.hier.memAccess,
 	}
-	if opt.CountersOnly {
-		// The counters-only contract: no timing leaves the run. The
-		// trimmed bytecode loop never accumulated cycles; the tree
-		// walker (and the shared SPT pair-timing bookkeeping) did, so
-		// the float fields are zeroed uniformly here — both engines
-		// return byte-identical Results in this mode.
-		res.Cycles = 0
-		for _, ls := range res.Loops {
-			ls.SpecCycles, ls.ReexecCycles, ls.SeqCycles, ls.Elapsed = 0, 0, 0, 0
-		}
-	}
 	var forks, kills, specIters, misspecIters int64
 	for _, ls := range res.Loops {
 		forks += ls.Forks
@@ -156,7 +140,6 @@ func (e *Engine) reset(prog *ir.Program, cfg Config, opt RunOptions, memWords in
 	s.spt = opt.SPTHeaders
 	s.loopBlocks = opt.LoopBlocks
 	s.attr = opt.AttributeLoops
-	s.countersOnly = opt.CountersOnly
 	s.loops = make(map[int]*LoopStats)
 	s.attrCyc = make(map[int]float64)
 	s.cycles, s.ops, s.steps, s.memCycles = 0, 0, 0, 0

@@ -18,14 +18,12 @@ type tval struct {
 
 // execFrom dispatches block-range execution to the active engine: the
 // bytecode engine when the program was lowered (RunOptions.Engine ==
-// EngineBytecode, the default), the reference tree walker otherwise.
-// Everything around it — the SPT pairwise runner, frames, speculative
+// EngineBytecode, the default), the reference tree walker otherwise —
+// the test oracle (EngineTree), or the fallback for a program that
+// lowering rejects. Everything around it — the SPT pairwise runner, frames, speculative
 // buffers, memory hierarchy — is shared by both engines.
 func (s *sim) execFrom(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool) (execOutcome, error) {
 	if s.low != nil {
-		if s.countersOnly {
-			return s.execByteCount(fr, blk, prev, stop)
-		}
 		return s.execByte(fr, blk, prev, stop)
 	}
 	return s.exec(fr, blk, prev, stop)

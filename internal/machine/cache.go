@@ -77,45 +77,6 @@ func (c *cacheLevel) accessLine(line int64) (bool, int32) {
 	c.stamp++
 	base := set * c.assoc
 	tag := uint64(uint32(line)) << 32
-	if c.assoc == 4 {
-		// The default L1 (which absorbs nearly every access) is 4-way:
-		// a fixed-size view drops the bounds checks and loop overhead
-		// from the sweep. Semantics are identical to the generic path.
-		w := (*[4]uint64)(c.meta[base : base+4 : base+4])
-		if w[0]&invalidWay == tag {
-			w[0] = tag | uint64(c.stamp)
-			c.hits++
-			return true, int32(base)
-		}
-		if w[1]&invalidWay == tag {
-			w[1] = tag | uint64(c.stamp)
-			c.hits++
-			return true, int32(base + 1)
-		}
-		if w[2]&invalidWay == tag {
-			w[2] = tag | uint64(c.stamp)
-			c.hits++
-			return true, int32(base + 2)
-		}
-		if w[3]&invalidWay == tag {
-			w[3] = tag | uint64(c.stamp)
-			c.hits++
-			return true, int32(base + 3)
-		}
-		victim, minStamp := 0, uint32(w[0])
-		if st := uint32(w[1]); st < minStamp {
-			victim, minStamp = 1, st
-		}
-		if st := uint32(w[2]); st < minStamp {
-			victim, minStamp = 2, st
-		}
-		if st := uint32(w[3]); st < minStamp {
-			victim = 3
-		}
-		c.misses++
-		w[victim] = tag | uint64(c.stamp)
-		return false, int32(base + victim)
-	}
 	ways := c.meta[base : base+c.assoc]
 	for w, m := range ways {
 		if m&invalidWay == tag {

@@ -120,7 +120,7 @@ func TestConfigContention(t *testing.T) {
 // refLevel is an executable-specification LRU cache: a plain map from
 // set to way list, replacing the lowest-indexed way holding the
 // smallest stamp. The differential tests below pin cacheLevel's packed
-// fast paths (including the specialized 4-way sweep) against it.
+// way sweep against it.
 type refLevel struct {
 	sets, assoc int
 	lineBits    uint
@@ -178,14 +178,14 @@ func (r *refLevel) access(addr int) bool {
 
 // TestCacheLevelMatchesReference runs random access streams through
 // cacheLevel and the executable specification at several geometries:
-// the specialized 4-way path, the generic path (1/2/8-way), and a
-// non-power-of-two set count (3 sets, exercising the modulo fallback).
+// the default L1's 4 ways, 1/2/8 ways, and a non-power-of-two set count
+// (3 sets, exercising the modulo fallback).
 func TestCacheLevelMatchesReference(t *testing.T) {
 	geoms := []struct {
 		name             string
 		words, assoc, lw int
 	}{
-		{"4way-specialized", 256, 4, 8},
+		{"4way", 256, 4, 8},
 		{"direct-mapped", 128, 1, 8},
 		{"2way", 128, 2, 8},
 		{"8way-generic", 512, 8, 8},
@@ -219,8 +219,8 @@ func TestCacheLevelMatchesReference(t *testing.T) {
 }
 
 // TestCacheLRUVictimTieBreak pins the fill order of a cold set: invalid
-// ways all carry stamp 0, so misses fill ways in index order, and the
-// 4-way specialized sweep agrees with the generic scan.
+// ways all carry stamp 0, so misses fill ways in index order, at the
+// default L1's 4 ways and at 8.
 func TestCacheLRUVictimTieBreak(t *testing.T) {
 	for _, assoc := range []int{4, 8} {
 		c := newCacheLevel(assoc*8, assoc, 8, 1) // one set

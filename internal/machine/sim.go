@@ -99,23 +99,16 @@ type RunOptions struct {
 	// Context, when set, cancels the simulation cooperatively: it is
 	// polled every ctxPollSteps simulated statements.
 	Context context.Context
-	// Engine selects the execution engine: the compile-once bytecode
-	// engine (EngineBytecode, the default) or the reference tree-walking
-	// interpreter (EngineTree). The two are bit-identical — same output
-	// bytes, cycles, op counts and fidelity counters; the tree walker is
-	// kept as the differential oracle for the bytecode engine.
+	// Engine is the oracle selector for tests. Production callers leave
+	// it zero (EngineBytecode: the compile-once bytecode engine, the one
+	// simulation path). EngineTree runs the reference tree walker, which
+	// is bit-identical — same output bytes, cycles, op counts and
+	// fidelity counters — and serves as the bytecode engine's
+	// differential oracle (TestEngineFidelity*, the core differential
+	// and fuzz tests, TestAttributionIsPureObserver,
+	// BenchmarkSimulateTree). The walker also runs, whatever this field
+	// says, a program that lowering rejects.
 	Engine EngineKind
-	// CountersOnly skips all cycle accounting: the run produces the
-	// program output and every fidelity counter (instructions, forks,
-	// kills, spec/misspec iterations, per-loop op counts, branch
-	// lookups/misses, memory accesses) bit-identical to a full-fidelity
-	// run, but Result.Cycles, the per-loop float timing fields and
-	// CyclesByLoop are zero. Sweeps that only read counters (violation
-	// profiles, coverage-free sanity sweeps) run substantially faster:
-	// the bytecode engine executes a trimmed dispatch loop with no float
-	// accumulation. Incompatible with AttributeLoops (which measures
-	// cycles); Run rejects the combination.
-	CountersOnly bool
 }
 
 // EngineKind selects the simulator's execution engine.
@@ -125,7 +118,8 @@ const (
 	// EngineBytecode executes functions lowered to flat bytecode, cached
 	// per (program, config). The default.
 	EngineBytecode EngineKind = iota
-	// EngineTree executes the reference tree-walking interpreter.
+	// EngineTree executes the reference tree-walking interpreter: the
+	// test oracle for EngineBytecode.
 	EngineTree
 )
 
@@ -228,13 +222,6 @@ type sim struct {
 	loopBlocks map[*ir.Block]map[*ir.Block]bool
 	loops      map[int]*LoopStats
 	sptActive  bool
-	// countersOnly selects the bytecode engine's trimmed dispatch loop
-	// (no float cycle accumulation); see RunOptions.CountersOnly. The
-	// tree walker ignores it and always accumulates (its results are
-	// stripped in Engine.Run), staying the differential oracle for the
-	// trimmed loop.
-	countersOnly bool
-
 	undoActive bool     // post-fork undo log open (main leg)
 	spec       *specCtx // active speculative leg
 	specBuf    specCtx  // storage for spec (reused per leg)

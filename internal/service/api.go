@@ -28,10 +28,9 @@ import (
 const RespFormatVersion = 1
 
 // ReqOptions are the result-affecting compilation knobs a client may
-// set. Deliberately absent: SearchWorkers and the simulation engine —
-// both are pinned result-invariant (worker-invariance and
-// engine-fidelity suites), so they stay server-side configuration and
-// never fragment the cache.
+// set. Deliberately absent: SearchWorkers, which is pinned
+// result-invariant by the worker-invariance suites, so it stays
+// server-side configuration and never fragments the cache.
 type ReqOptions struct {
 	// DisableSVP turns software value prediction off (ablation).
 	DisableSVP bool `json:"disable_svp,omitempty"`
@@ -44,14 +43,6 @@ type ReqOptions struct {
 	SearchBudget int `json:"search_budget,omitempty"`
 	// Dump includes the final IR in the compile response.
 	Dump bool `json:"dump,omitempty"`
-	// CountersOnly runs the simulation in counters-only mode
-	// (machine.RunOptions.CountersOnly): all fidelity counters are
-	// bit-identical to a full run, but cycles and the per-loop float
-	// timing fields are zero. Rejected together with Compare or
-	// CoverageMaxBody, which exist to measure cycles. Being part of the
-	// options, it keys the response cache, so full-fidelity and
-	// counters-only responses never collide.
-	CountersOnly bool `json:"counters_only,omitempty"`
 }
 
 // CompileRequest asks for one compilation.

@@ -34,9 +34,6 @@ type Env struct {
 	Incr *incr.Store
 	// SearchWorkers parallelizes pass 1 (result-invariant).
 	SearchWorkers int
-	// Engine selects the simulation engine (result-invariant, pinned by
-	// the engine-fidelity oracle).
-	Engine machine.EngineKind
 	// Eng, when non-nil, is a pooled simulation engine owned by the
 	// calling worker (per-run machine state reuse).
 	Eng *machine.Engine
@@ -133,16 +130,6 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 	if req.CoverageMaxBody > 0 && lvl != core.LevelBase {
 		return nil, &RequestError{Msg: fmt.Sprintf("coverage_max_body measures the base program; level %s is not base", lvl)}
 	}
-	if req.Options.CountersOnly {
-		// Both extras exist to measure cycles, which counters-only mode
-		// does not produce.
-		if req.Compare {
-			return nil, &RequestError{Msg: "counters_only skips cycle accounting; compare needs cycles"}
-		}
-		if req.CoverageMaxBody > 0 {
-			return nil, &RequestError{Msg: "counters_only skips cycle accounting; coverage_max_body needs cycles"}
-		}
-	}
 	cfg := machine.DefaultConfig()
 	if req.Machine != nil {
 		cfg = *req.Machine
@@ -168,8 +155,6 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 	}
 	simOpt.Trace = env.Track
 	simOpt.Context = env.ctx()
-	simOpt.Engine = env.Engine
-	simOpt.CountersOnly = req.Options.CountersOnly
 	out := &captureWriter{tee: env.Out}
 	simOpt.Out = out
 	sstart := time.Now()
@@ -203,7 +188,6 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 		baseOpt := core.SimulationOptions(baseRes)
 		baseOpt.Trace = btk
 		baseOpt.Context = env.ctx()
-		baseOpt.Engine = env.Engine
 		bout := &captureWriter{}
 		baseOpt.Out = bout
 		baseSim, err := eng.Run(baseRes.Prog, cfg, baseOpt)

@@ -47,8 +47,6 @@ type Config struct {
 	// (result-invariant; default 0 = serial, concurrency comes from the
 	// worker pool).
 	SearchWorkers int
-	// Engine selects the simulation engine (result-invariant).
-	Engine machine.EngineKind
 	// TraceTracks caps the rotating /debug/trace buffer: after this many
 	// request tracks the tracer is swapped fresh (default 64).
 	TraceTracks int
@@ -439,7 +437,6 @@ func (s *Server) execute(t *task, eng *machine.Engine) taskResult {
 			Track:         s.newTrack(label),
 			Incr:          s.store,
 			SearchWorkers: s.cfg.SearchWorkers,
-			Engine:        s.cfg.Engine,
 			Eng:           eng,
 			Context:       ctx,
 		}
@@ -592,8 +589,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeJSONError(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required", Kind: errKindRequest})
 		return false
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSource)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	// Unknown fields are rejected, not ignored: a misspelt or retired
+	// option would otherwise compile silently as a default request.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxSource))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		writeJSONError(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error(), Kind: errKindRequest})
 		return false
 	}

@@ -56,6 +56,28 @@ func healthz(t *testing.T, srv *Server) {
 	}
 }
 
+// TestServerRejectsUnknownFields pins strict request decoding end to
+// end: a body naming a field the API does not have (here a retired
+// option) reaches a retrying Remote as a RequestError after one attempt,
+// since a retry would re-buy the same rejection.
+func TestServerRejectsUnknownFields(t *testing.T) {
+	srv, _ := startServer(t, Config{Workers: 1})
+	var slept []time.Duration
+	r := &Remote{URL: srv.URL(), Retry: testPolicy(5, &slept)}
+	body := map[string]any{
+		"name": "a.spl", "source": "func main() {}", "level": "best",
+		"options": map[string]any{"counters_only": true},
+	}
+	meta, err := r.post("/v1/simulate", body, new(SimulateResponse))
+	var reqErr *RequestError
+	if !errors.As(err, &reqErr) {
+		t.Fatalf("error %T (%v), want *RequestError", err, err)
+	}
+	if meta.Retries != 0 || len(slept) != 0 {
+		t.Errorf("retries = %d, slept %v; want none", meta.Retries, slept)
+	}
+}
+
 // TestServerStampede fires N identical concurrent requests at a cold
 // daemon: exactly one compile happens; every response is identical.
 func TestServerStampede(t *testing.T) {

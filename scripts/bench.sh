@@ -9,15 +9,10 @@
 #                trajectory;
 #   "current"  — this run of BenchmarkPartitionSearch,
 #                BenchmarkCostPropagation, BenchmarkSimulate (bytecode
-#                engine, full fidelity), BenchmarkSimulateCounters
-#                (counters-only mode — the in-process ratio to
-#                BenchmarkSimulate is the counters-only speedup),
-#                BenchmarkSimulateTree (reference walker — the ratio to
-#                BenchmarkSimulate is the engine speedup),
-#                BenchmarkRunBatch/{w1,wmax} (full-fidelity suite sweep),
-#                BenchmarkRunBatchCounters/{w1,wmax} (counters-only
-#                suite sweep; w1 vs BenchmarkRunBatch/w1 is the sweep
-#                speedup), BenchmarkPartitionSearchParallel/{serial,w1,
+#                engine), BenchmarkSimulateTree (reference walker —
+#                the ratio to BenchmarkSimulate is the engine speedup),
+#                BenchmarkRunBatch/{w1,wmax} (suite sweep),
+#                BenchmarkPartitionSearchParallel/{serial,w1,
 #                w2,w4,w8}, BenchmarkCompile/{serial,w8} and
 #                BenchmarkCompileIncremental/{cold,warm,one-dirty-loop}
 #                (ns/op, B/op, allocs/op, plus reported metrics such as
@@ -41,7 +36,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench '^(BenchmarkPartitionSearch|BenchmarkCostPropagation|BenchmarkSimulate|BenchmarkSimulateCounters|BenchmarkSimulateTree|BenchmarkRunBatch|BenchmarkRunBatchCounters|BenchmarkPartitionSearchParallel|BenchmarkCompile|BenchmarkCompileIncremental)$' \
+    -bench '^(BenchmarkPartitionSearch|BenchmarkCostPropagation|BenchmarkSimulate|BenchmarkSimulateTree|BenchmarkRunBatch|BenchmarkPartitionSearchParallel|BenchmarkCompile|BenchmarkCompileIncremental)$' \
     -benchmem -benchtime "$benchtime" -count "$count" . | tee "$tmp"
 
 # Parse `BenchmarkName-8  N  v1 unit1  v2 unit2 ...` lines into a JSON
@@ -77,7 +72,7 @@ fi
 
 {
     echo '{'
-    echo '  "benchmarks": ["BenchmarkPartitionSearch", "BenchmarkCostPropagation", "BenchmarkSimulate", "BenchmarkSimulateCounters", "BenchmarkSimulateTree", "BenchmarkRunBatch", "BenchmarkRunBatchCounters", "BenchmarkPartitionSearchParallel", "BenchmarkCompile", "BenchmarkCompileIncremental"],'
+    echo '  "benchmarks": ["BenchmarkPartitionSearch", "BenchmarkCostPropagation", "BenchmarkSimulate", "BenchmarkSimulateTree", "BenchmarkRunBatch", "BenchmarkPartitionSearchParallel", "BenchmarkCompile", "BenchmarkCompileIncremental"],'
     echo "  \"baseline\": $(echo "$base" | sed 's/^/  /' | sed '1s/^  //'),"
     echo "  \"current\": $(echo "$current" | sed 's/^/  /' | sed '1s/^  //')"
     echo '}'

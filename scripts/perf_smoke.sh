@@ -37,7 +37,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench '^(BenchmarkSimulate|BenchmarkSimulateCounters|BenchmarkSimulateTree)$' \
+    -bench '^(BenchmarkSimulate|BenchmarkSimulateTree)$' \
     -benchtime "$benchtime" -count "$count" . | tee "$tmp"
 
 # `BenchmarkName-8  N  12345 ns/op ...` -> {"BenchmarkName": min_ns_op, ...}
