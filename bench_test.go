@@ -22,7 +22,6 @@ import (
 	"sptc/internal/core"
 	"sptc/internal/cost"
 	"sptc/internal/depgraph"
-	"sptc/internal/evalharness"
 	"sptc/internal/incr"
 	"sptc/internal/interp"
 	"sptc/internal/ir"
@@ -36,18 +35,30 @@ import (
 
 // ---- shared compile cache (compilation is deterministic) ----
 
-var compileCache = evalharness.NewCompileCache()
+type compileKey struct {
+	name  string
+	level core.Level
+}
+
+// compileCache holds one compilation per (benchmark, level), shared by
+// the benchmarks below; they call compiled from one goroutine.
+var compileCache = map[compileKey]*core.Result{}
 
 func compiled(b *testing.B, name string, level core.Level) *core.Result {
 	b.Helper()
+	key := compileKey{name, level}
+	if r := compileCache[key]; r != nil {
+		return r
+	}
 	bench := benchprog.ByName(name)
 	if bench == nil {
 		b.Fatalf("unknown benchmark %s", name)
 	}
-	r, _, err := compileCache.Get(name, bench.Source, core.DefaultOptions(level))
+	r, err := core.CompileSource(name, bench.Source, core.DefaultOptions(level))
 	if err != nil {
 		b.Fatalf("compile %s@%s: %v", name, level, err)
 	}
+	compileCache[key] = r
 	return r
 }
 

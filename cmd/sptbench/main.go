@@ -104,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// going: affected jobs are marked in the status column).
 	opt.Timeout = resil.Timeout
 	opt.SearchBudget = resil.SearchBudget
-	opt.SearchWorkers = resil.SearchWorkers
 	if server.Remote() {
 		// Service mode: every compile+simulate job goes through the sptd
 		// daemon (whose response cache makes repeat suites near-free);
@@ -115,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		store, saveStore := incrFlag.Open()
 		defer saveStore()
-		opt.Incr = store
+		opt.Client = &service.Local{Env: service.Env{Incr: store, SearchWorkers: resil.SearchWorkers}}
 	}
 
 	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)

@@ -66,6 +66,9 @@ func TestSuiteFailSoftPass1Panic(t *testing.T) {
 		if len(lr.Compile.SPT) != 0 {
 			t.Errorf("%s: all loops should be demoted, got %d SPT loops", r.Name, len(lr.Compile.SPT))
 		}
+		if len(lr.Compile.Degradations) == 0 {
+			t.Errorf("%s: degraded job carries no degradation events", r.Name)
+		}
 		for _, ev := range lr.Compile.Degradations {
 			if ev.Reason != resilience.ReasonPanic {
 				t.Errorf("%s: degradation reason %s, want panic", r.Name, ev.Reason)
@@ -213,6 +216,9 @@ func TestSuiteDeterministicUnderBudget(t *testing.T) {
 		}
 		if lr.Status != StatusDegraded {
 			t.Errorf("%s: 1-node budget should degrade the job, got %s", r.Name, lr.Status)
+		}
+		if len(lr.Compile.Degradations) == 0 {
+			t.Errorf("%s: degraded job carries no degradation events", r.Name)
 		}
 		for _, ev := range lr.Compile.Degradations {
 			if ev.Reason != resilience.ReasonBudget {

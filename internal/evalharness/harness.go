@@ -21,7 +21,6 @@ import (
 
 	"sptc/internal/benchprog"
 	"sptc/internal/core"
-	"sptc/internal/incr"
 	"sptc/internal/machine"
 	"sptc/internal/profile"
 	"sptc/internal/service"
@@ -30,7 +29,10 @@ import (
 
 // LevelRun is one benchmark compiled and simulated at one level.
 type LevelRun struct {
-	Level    core.Level
+	Level core.Level
+	// Compile is the result reconstructed from the job's service
+	// response (service.ReconstructCompile): reports, SPT loops and
+	// degradation events, with a nil Prog.
 	Compile  *core.Result
 	Sim      *machine.Result
 	Output   string
@@ -94,9 +96,10 @@ type Options struct {
 	// Trace, when non-nil and enabled, receives one track per
 	// compile+simulate job ("name/base", "name/<level>"), created in
 	// suite order before the workers start so track IDs are deterministic
-	// and no two jobs ever share a span buffer. When nil, the harness
-	// records on a private tracer: the per-job Metrics are always
-	// span-derived.
+	// and no two jobs ever share a span buffer. A job executed in-process
+	// records its span tree there; a daemon records on its own tracer.
+	// When nil, the harness records on a private tracer: the per-job
+	// Metrics are always span-derived.
 	Trace *trace.Tracer
 	// Timeout bounds each compile+simulate job's wall clock. A job that
 	// exceeds it is retried once, then marked StatusTimeout; the rest of
@@ -107,33 +110,21 @@ type Options struct {
 	// affected jobs are marked StatusDegraded). <= 0 leaves the search
 	// unbounded.
 	SearchBudget int
-	// SearchWorkers parallelizes pass 1 inside each compile job:
-	// candidate loops are analyzed concurrently and each partition search
-	// runs its parallel branch-and-bound with this many workers (see
-	// core.Options.SearchWorkers). Compilation results are identical for
-	// every value; only wall-clock compile time changes. This
-	// parallelism nests inside the job-level Workers pool, so the total
-	// goroutine fan-out is roughly Workers x SearchWorkers. 0 keeps the
-	// classic serial pass 1.
-	SearchWorkers int
 	// Context cancels the whole suite (a hard abort, unlike the per-job
 	// Timeout). Nil means context.Background().
 	Context context.Context
-	// Incr is an optional loop-result store shared by every level compile
-	// in the suite (see core.Options.Incr); the Store is safe for the
-	// concurrent jobs. Each run's hit/miss counters land in its Metrics.
-	// Note the per-job Timeout disables caching inside the compile (a
-	// deadline could degrade the search), so Incr pays off in untimed
-	// runs. Nil compiles everything cold.
-	Incr *incr.Store
-	// Client, when non-nil, executes every compile+simulate job through
-	// the compilation service (typically a service.Remote against a
-	// running sptd daemon) instead of in-process. Results are
-	// reconstructed from the wire responses, so the figure extraction is
-	// unchanged and agrees with a local run. In this mode Trace, Incr
-	// and SearchWorkers are the daemon's business and ignored
-	// here; Timeout still applies per job (a *service.Remote is re-bound
-	// to the job's context so the HTTP request is actually canceled).
+	// Client executes every compile+simulate job as one Simulate request
+	// (nil = in-process service.Local). Figures are extracted from the
+	// reconstructed responses, so they cannot tell where a job ran.
+	//
+	// The in-process Local that executes a job (the Client itself, or a
+	// *service.Failover's fallback) is bound to that job: its trace
+	// track, the worker's pooled engine, the job context and the
+	// suite's profile memo. Its Env.Incr (a loop-result store shared by
+	// every level compile) and Env.SearchWorkers (parallel pass 1,
+	// result-invariant) stay as the caller set them. A *service.Remote
+	// is bound to the job context, so the per-job Timeout cancels the
+	// HTTP request itself.
 	Client service.Client
 }
 
@@ -197,11 +188,17 @@ func RunSuite(opt Options) (*SuiteResult, error) {
 		}
 	}
 
-	logger := &safeLogger{w: opt.Log}
-	cache := NewCompileCache()
-	// Level compiles of one program often profile identical IR (basic
-	// and best do whenever SVP is applied after the first profile).
-	profiles := profile.NewMemo()
+	r := &runner{
+		opt:    opt,
+		client: opt.Client,
+		// Level compiles of one program often profile identical IR (basic
+		// and best do whenever SVP is applied after the first profile).
+		memo:   profile.NewMemo(),
+		logger: &safeLogger{w: opt.Log},
+	}
+	if r.client == nil {
+		r.client = &service.Local{}
+	}
 
 	// Every job gets its own trace track, allocated here in suite order —
 	// before the worker pool starts — so track IDs are independent of the
@@ -244,11 +241,11 @@ func RunSuite(opt Options) (*SuiteResult, error) {
 				b := benches[j.benchIdx]
 				var err error
 				if j.levelIdx < 0 {
-					err = runBase(b, opt, cache, eng, bases[j.benchIdx], suite.Runs[j.benchIdx], logger)
+					err = r.runBase(b, eng, bases[j.benchIdx], suite.Runs[j.benchIdx])
 				} else {
 					lvl := opt.Levels[j.levelIdx]
 					tk := levelTracks[j.benchIdx][j.levelIdx]
-					levelRuns[j.benchIdx][j.levelIdx], err = runLevel(b, lvl, opt, cache, profiles, eng, bases[j.benchIdx], tk, logger)
+					levelRuns[j.benchIdx][j.levelIdx], err = r.runLevel(b, lvl, eng, bases[j.benchIdx], tk)
 				}
 				if err != nil {
 					errs[ji] = fmt.Errorf("%s: %w", b.Name, err)
@@ -295,6 +292,37 @@ func validateLevels(levels []core.Level) error {
 	return nil
 }
 
+// runner is what every job of one suite shares.
+type runner struct {
+	opt    Options
+	client service.Client // Options.Client, or an in-process service.Local
+	memo   *profile.Memo
+	logger *safeLogger
+}
+
+// simulate issues one job's request through the suite's client bound to
+// the job (see Options.Client), on the machine the suite evaluates.
+func (r *runner) simulate(ctx context.Context, tk *trace.Track, eng *machine.Engine, req *service.SimulateRequest) (*service.SimulateResponse, error) {
+	req.Machine = &r.opt.Machine
+	local := func(l *service.Local) *service.Local {
+		lc := *l
+		lc.Env.Track, lc.Env.Eng, lc.Env.Context, lc.Env.ProfileMemo = tk, eng, ctx, r.memo
+		return &lc
+	}
+	c := r.client
+	switch cl := c.(type) {
+	case *service.Local:
+		c = local(cl)
+	case *service.Remote:
+		rc := *cl
+		rc.Context = ctx
+		c = &rc
+	case *service.Failover:
+		c = cl.ForJob(ctx, local(cl.Local))
+	}
+	return c.Simulate(req)
+}
+
 // baseRun memoizes one benchmark's base compile+simulate so the base job
 // and every level job of that benchmark share a single computation. The
 // work always records on the dedicated base track — whichever job wins
@@ -319,63 +347,36 @@ func (br *baseRun) healthy() bool {
 	return br.status == StatusOK || br.status == StatusFallback
 }
 
-func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, eng *machine.Engine, logger *safeLogger) error {
+func (r *runner) base(b benchprog.Benchmark, eng *machine.Engine, br *baseRun) error {
 	br.once.Do(func() {
-		err := runJob(opt, &br.retried, func(ctx context.Context) error {
-			if opt.Client != nil {
-				resp, err := jobClient(opt, ctx).Simulate(&service.SimulateRequest{
-					Name:            b.Name,
-					Source:          b.Source,
-					Level:           core.LevelBase.String(),
-					CoverageMaxBody: opt.MaxLoopBody,
-				})
-				if err != nil {
-					return fmt.Errorf("base compile+simulate: %w", err)
-				}
-				br.sim = service.ReconstructSim(resp.Sim)
-				br.out = resp.Output
-				br.maxCov = resp.MaxCoverage
-				br.metrics = metricsFromCounters(resp.Compile.Counters, resp.Meta)
-				if resp.Meta.Fallback {
-					// The daemon was unreachable and a Failover client ran the
-					// job in-process: exact results, flagged disposition.
-					br.status = StatusFallback
-				}
-				logger.logf("[%s] base: %.0f cycles, IPC %.2f (compile %s, simulate %s, cache %s, status %s)",
-					b.Name, br.sim.Cycles, br.sim.IPC(), fmtDur(resp.Meta.Compile), fmtDur(resp.Meta.Simulate), dispOrNone(resp.Meta.Cache), br.status)
-				return nil
-			}
-			copt := core.DefaultOptions(core.LevelBase)
-			copt.Trace = br.track
-			copt.Context = ctx
-			res, cdur, err := cache.Get(b.Name, b.Source, copt)
-			if err != nil {
-				return fmt.Errorf("base compile: %w", err)
-			}
-			var out captureWriter
-			simOpt := machine.RunOptions{Out: &out, Trace: br.track, Context: ctx}
+		err := runJob(r.opt, &br.retried, func(ctx context.Context) error {
 			// Figure 16's maximum coverage is measured on this run: loop
 			// attribution observes the simulation without changing it.
-			if cov, sizes := core.CoverageOptions(res.Prog, opt.MaxLoopBody); len(sizes) > 0 {
-				simOpt.AttributeLoops, simOpt.LoopBlocks = cov.AttributeLoops, cov.LoopBlocks
-			}
-			start := time.Now()
-			sim, err := eng.Run(res.Prog, opt.Machine, simOpt)
+			resp, err := r.simulate(ctx, br.track, eng, &service.SimulateRequest{
+				Name:            b.Name,
+				Source:          b.Source,
+				Level:           core.LevelBase.String(),
+				CoverageMaxBody: r.opt.MaxLoopBody,
+			})
 			if err != nil {
-				return fmt.Errorf("base simulate: %w", err)
+				return fmt.Errorf("base compile+simulate: %w", err)
 			}
-			br.sim, br.out = sim, out.String()
-			br.maxCov = core.MaxCoverage(sim)
-			br.metrics = metricsFromTrack(br.track, cdur, time.Since(start))
-			logger.logf("[%s] base: %.0f cycles, IPC %.2f (compile %s, simulate %s)",
-				b.Name, sim.Cycles, sim.IPC(), fmtDur(cdur), fmtDur(br.metrics.Simulate))
+			br.sim = service.ReconstructSim(resp.Sim)
+			br.out = resp.Output
+			br.maxCov = resp.MaxCoverage
+			br.metrics = metricsFromCounters(resp.Compile.Counters, resp.Meta)
+			if resp.Meta.Fallback {
+				br.status = StatusFallback
+			}
+			r.logger.logf("[%s] base: %.0f cycles, IPC %.2f (compile %s, simulate %s, cache %s, status %s)",
+				b.Name, br.sim.Cycles, br.sim.IPC(), fmtDur(resp.Meta.Compile), fmtDur(resp.Meta.Simulate), dispOrNone(resp.Meta.Cache), br.status)
 			return nil
 		})
 		if err != nil {
 			if st, soft := softStatus(err); soft {
 				br.status, br.err = st, err
 				br.sim, br.out = nil, ""
-				logger.logf("[%s] base: %s (%v)", b.Name, st, err)
+				r.logger.logf("[%s] base: %s (%v)", b.Name, st, err)
 				return
 			}
 			br.err = err
@@ -386,8 +387,8 @@ func (br *baseRun) get(b benchprog.Benchmark, opt Options, cache *CompileCache, 
 
 // runBase fills a benchmark's base reference fields, including the
 // Figure 16 maximum coverage the base simulation measured.
-func runBase(b benchprog.Benchmark, opt Options, cache *CompileCache, eng *machine.Engine, br *baseRun, run *BenchmarkRun, logger *safeLogger) error {
-	err := br.get(b, opt, cache, eng, logger)
+func (r *runner) runBase(b benchprog.Benchmark, eng *machine.Engine, br *baseRun, run *BenchmarkRun) error {
+	err := r.base(b, eng, br)
 	run.BaseStatus = br.status
 	run.BaseErr = br.err
 	if !br.healthy() {
@@ -408,46 +409,33 @@ func runBase(b benchprog.Benchmark, opt Options, cache *CompileCache, eng *machi
 // runLevel compiles and simulates one benchmark at one level, recording
 // the job's span tree on its dedicated track. Panics and per-job
 // timeouts mark the returned LevelRun instead of failing the suite.
-func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *CompileCache, profiles *profile.Memo, eng *machine.Engine, br *baseRun, tk *trace.Track, logger *safeLogger) (*LevelRun, error) {
-	if err := br.get(b, opt, cache, eng, logger); err != nil && br.status == StatusOK {
+func (r *runner) runLevel(b benchprog.Benchmark, level core.Level, eng *machine.Engine, br *baseRun, tk *trace.Track) (*LevelRun, error) {
+	if err := r.base(b, eng, br); err != nil && br.status == StatusOK {
 		return nil, err
 	}
 	lr := &LevelRun{Level: level}
-	err := runJob(opt, &lr.Retried, func(ctx context.Context) error {
-		if opt.Client != nil {
-			return runLevelRemote(b, level, opt, br, lr, ctx)
-		}
-		copt := core.DefaultOptions(level)
-		copt.Trace = tk
-		copt.Context = ctx
-		if opt.SearchBudget > 0 {
-			copt.Partition.MaxSearchNodes = opt.SearchBudget
-		}
-		copt.SearchWorkers = opt.SearchWorkers
-		copt.Incr = opt.Incr
-		copt.ProfileMemo = profiles
-		res, cdur, err := cache.Get(b.Name, b.Source, copt)
+	err := runJob(r.opt, &lr.Retried, func(ctx context.Context) error {
+		resp, err := r.simulate(ctx, tk, eng, &service.SimulateRequest{
+			Name:    b.Name,
+			Source:  b.Source,
+			Level:   level.String(),
+			Options: service.ReqOptions{SearchBudget: max(r.opt.SearchBudget, 0)},
+		})
 		if err != nil {
-			return fmt.Errorf("%s compile: %w", level, err)
+			return fmt.Errorf("%s compile+simulate: %w", level, err)
 		}
-		simOpt := simulationOptions(res)
-		simOpt.Trace = tk
-		simOpt.Context = ctx
-		var out captureWriter
-		simOpt.Out = &out
-		start := time.Now()
-		sim, err := eng.Run(res.Prog, opt.Machine, simOpt)
+		res, err := service.ReconstructCompile(resp.Compile)
 		if err != nil {
-			return fmt.Errorf("%s simulate: %w", level, err)
+			return err
 		}
-		sdur := time.Since(start)
+		sim := service.ReconstructSim(resp.Sim)
 		// The transformed program must print exactly what the base
 		// printed. Divergence is a correctness failure, never soft. The
 		// check is skipped only when the base job itself failed soft.
-		if br.healthy() && out.String() != br.out {
+		if br.healthy() && resp.Output != br.out {
 			return fmt.Errorf("%s output diverged from base", level)
 		}
-		lr.Compile, lr.Sim, lr.Output = res, sim, out.String()
+		lr.Compile, lr.Sim, lr.Output = res, sim, resp.Output
 		if br.sim != nil {
 			lr.Speedup = ratio(br.sim.Cycles, sim.Cycles)
 		}
@@ -456,7 +444,13 @@ func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *Compi
 			inLoops += ls.Elapsed
 		}
 		lr.Coverage = ratio(inLoops, sim.Cycles)
-		lr.Metrics = metricsFromTrack(tk, cdur, sdur)
+		lr.Metrics = metricsFromCounters(resp.Compile.Counters, resp.Meta)
+		switch {
+		case res.Degraded():
+			lr.Status = StatusDegraded
+		case resp.Meta.Fallback:
+			lr.Status = StatusFallback
+		}
 		return nil
 	})
 	if err != nil {
@@ -466,80 +460,13 @@ func runLevel(b benchprog.Benchmark, level core.Level, opt Options, cache *Compi
 		}
 		lr.Status, lr.Err = st, err
 		lr.Compile, lr.Sim = nil, nil
-		logger.logf("[%s] %s: %s (%v)", b.Name, level, st, err)
+		r.logger.logf("[%s] %s: %s (%v)", b.Name, level, st, err)
 		return lr, nil
 	}
-	if lr.Status == StatusOK && lr.Compile.Degraded() {
-		lr.Status = StatusDegraded
-	}
-	logger.logf("[%s] %s: %.0f cycles, speedup %.3f, %d SPT loops, coverage %.2f, status %s (compile %s, simulate %s, %d search nodes)",
+	r.logger.logf("[%s] %s: %.0f cycles, speedup %.3f, %d SPT loops, coverage %.2f, status %s (compile %s, simulate %s, %d search nodes)",
 		b.Name, level, lr.Sim.Cycles, lr.Speedup, len(lr.Compile.SPT), lr.Coverage, lr.Status,
 		fmtDur(lr.Metrics.Compile), fmtDur(lr.Metrics.Simulate), lr.Metrics.SearchNodes)
 	return lr, nil
-}
-
-// runLevelRemote is runLevel's body in service mode: one Simulate
-// request to the daemon, with the harness-side invariants (output
-// divergence vs base, speedup/coverage derivation) computed from the
-// reconstructed results exactly as the local path computes them.
-func runLevelRemote(b benchprog.Benchmark, level core.Level, opt Options, br *baseRun, lr *LevelRun, ctx context.Context) error {
-	budget := opt.SearchBudget
-	if budget < 0 {
-		budget = 0
-	}
-	resp, err := jobClient(opt, ctx).Simulate(&service.SimulateRequest{
-		Name:    b.Name,
-		Source:  b.Source,
-		Level:   level.String(),
-		Options: service.ReqOptions{SearchBudget: budget},
-	})
-	if err != nil {
-		return fmt.Errorf("%s compile+simulate: %w", level, err)
-	}
-	res, err := service.ReconstructCompile(resp.Compile)
-	if err != nil {
-		return err
-	}
-	sim := service.ReconstructSim(resp.Sim)
-	if br.healthy() && resp.Output != br.out {
-		return fmt.Errorf("%s output diverged from base", level)
-	}
-	lr.Compile, lr.Sim, lr.Output = res, sim, resp.Output
-	if br.sim != nil {
-		lr.Speedup = ratio(br.sim.Cycles, sim.Cycles)
-	}
-	var inLoops float64
-	for _, ls := range sim.Loops {
-		inLoops += ls.Elapsed
-	}
-	lr.Coverage = ratio(inLoops, sim.Cycles)
-	lr.Metrics = metricsFromCounters(resp.Compile.Counters, resp.Meta)
-	if resp.Compile.Degraded {
-		// The wire response carries degradation events as strings only,
-		// so the reconstructed core.Result cannot answer Degraded()
-		// itself; mark the run here.
-		lr.Status = StatusDegraded
-	} else if resp.Meta.Fallback {
-		lr.Status = StatusFallback
-	}
-	return nil
-}
-
-// jobClient binds the suite's Client to one job's context: a
-// *service.Remote is copied with the job context so the per-job timeout
-// cancels the HTTP request itself, and a *service.Failover is rebound
-// the same way (sharing its circuit breaker, so daemon health accrues
-// across jobs); other Client implementations are returned as-is.
-func jobClient(opt Options, ctx context.Context) service.Client {
-	if r, ok := opt.Client.(*service.Remote); ok {
-		rc := *r
-		rc.Context = ctx
-		return &rc
-	}
-	if f, ok := opt.Client.(*service.Failover); ok {
-		return f.WithContext(ctx)
-	}
-	return opt.Client
 }
 
 func dispOrNone(disp string) string {
@@ -580,21 +507,6 @@ func fmtDur(d time.Duration) string {
 	}
 	return d.Round(time.Millisecond).String()
 }
-
-// simulationOptions delegates to the shared core helper (also used by
-// the root package and the compilation service).
-func simulationOptions(res *core.Result) machine.RunOptions {
-	return core.SimulationOptions(res)
-}
-
-type captureWriter struct{ buf []byte }
-
-func (w *captureWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *captureWriter) String() string { return string(w.buf) }
 
 // ---- Figure data extraction ----
 

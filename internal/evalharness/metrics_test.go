@@ -2,116 +2,10 @@ package evalharness
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"sptc/internal/core"
-	"sptc/internal/trace"
 )
-
-const cacheTestSrc = `
-var total int;
-func main() {
-	var i int = 0;
-	while (i < 64) {
-		total = total + (i & 3);
-		i = i + 1;
-	}
-	print(total);
-}
-`
-
-// TestCompileCacheSharing checks that concurrent Gets of the same key
-// share one compilation (identical result pointer, one real duration)
-// and that distinct levels are distinct keys.
-func TestCompileCacheSharing(t *testing.T) {
-	cache := NewCompileCache()
-	const n = 8
-	results := make([]*core.Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, dur, err := cache.Get("cache.spl", cacheTestSrc, core.DefaultOptions(core.LevelBase))
-			if err != nil {
-				t.Errorf("goroutine %d: %v", i, err)
-				return
-			}
-			if dur <= 0 {
-				t.Errorf("goroutine %d: non-positive compile duration %v", i, dur)
-			}
-			results[i] = r
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
-			t.Errorf("goroutine %d got a different result pointer: cache recompiled", i)
-		}
-	}
-
-	other, _, err := cache.Get("cache.spl", cacheTestSrc, core.DefaultOptions(core.LevelBasic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == results[0] {
-		t.Error("different levels must be different cache keys")
-	}
-}
-
-// TestCompileCacheError checks that a failing compilation is memoized
-// too, and keeps returning its error.
-func TestCompileCacheError(t *testing.T) {
-	cache := NewCompileCache()
-	for i := 0; i < 2; i++ {
-		res, _, err := cache.Get("bad.spl", "func main( {", core.DefaultOptions(core.LevelBase))
-		if err == nil || res != nil {
-			t.Fatalf("call %d: expected parse error, got res=%v err=%v", i, res, err)
-		}
-	}
-}
-
-// TestMetricsFromTrack checks that the span-derived counter totals equal
-// the per-loop partition results they were recorded from: only
-// candidates that reached the search contribute.
-func TestMetricsFromTrack(t *testing.T) {
-	tk := trace.New().StartTrack("cache.spl/best")
-	opt := core.DefaultOptions(core.LevelBest)
-	opt.Trace = tk
-	res, _, err := NewCompileCache().Get("cache.spl", cacheTestSrc, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := metricsFromTrack(tk, 0, 0)
-	var nodes, evals, hits int64
-	for _, rep := range res.Reports {
-		if rep.Partition != nil {
-			nodes += int64(rep.Partition.SearchNodes)
-			evals += int64(rep.Partition.CostEvals)
-			hits += int64(rep.Partition.DedupHits)
-		}
-	}
-	if m.SearchNodes != nodes || m.CostEvals != evals || m.DedupHits != hits {
-		t.Errorf("span-derived metrics (%d nodes, %d evals, %d hits) != report totals (%d, %d, %d)",
-			m.SearchNodes, m.CostEvals, m.DedupHits, nodes, evals, hits)
-	}
-
-	base := trace.New().StartTrack("cache.spl/base")
-	bopt := core.DefaultOptions(core.LevelBase)
-	bopt.Trace = base
-	if _, _, err := NewCompileCache().Get("cache.spl", cacheTestSrc, bopt); err != nil {
-		t.Fatal(err)
-	}
-	if got := metricsFromTrack(base, 0, 0); got.SearchNodes != 0 {
-		t.Errorf("base compilation recorded %d search nodes, want 0", got.SearchNodes)
-	}
-
-	// A nil track (tracing off) yields zero-valued work counters.
-	if got := metricsFromTrack(nil, 0, 0); got.SearchNodes != 0 || got.SimOps != 0 {
-		t.Errorf("nil track produced non-zero metrics: %+v", got)
-	}
-}
 
 // TestWriteMetricsEmpty ensures the metrics table renders for an empty
 // suite without panicking.

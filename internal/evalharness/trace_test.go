@@ -3,6 +3,7 @@ package evalharness
 import (
 	"testing"
 
+	"sptc/internal/service"
 	"sptc/internal/trace"
 )
 
@@ -69,7 +70,7 @@ func TestTracePerJobIsolation(t *testing.T) {
 			if n := countSpans(tk, "coverage"); n != 0 {
 				t.Errorf("%s/%s: %d coverage spans, want none", run.Name, lvl, n)
 			}
-			got := metricsFromTrack(tk, 0, 0)
+			got := service.CountersFromTrack(tk)
 			if got.SearchNodes != lr.Metrics.SearchNodes ||
 				got.CostEvals != lr.Metrics.CostEvals ||
 				got.DedupHits != lr.Metrics.DedupHits ||

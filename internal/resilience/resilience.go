@@ -72,6 +72,16 @@ func (r Reason) String() string {
 	return "?"
 }
 
+// ParseReason maps a Reason's String form back to the Reason.
+func ParseReason(s string) (Reason, bool) {
+	for r := ReasonNone; r <= ReasonError; r++ {
+		if r.String() == s {
+			return r, true
+		}
+	}
+	return ReasonNone, false
+}
+
 // ErrBudget is returned by Budget.Spend when the work-unit allowance is
 // exhausted.
 var ErrBudget = errors.New("resilience: work-unit budget exhausted")

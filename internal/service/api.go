@@ -12,6 +12,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"sptc/internal/core"
 	"sptc/internal/ir"
 	"sptc/internal/machine"
+	"sptc/internal/resilience"
 	"sptc/internal/trace"
 )
 
@@ -86,10 +88,11 @@ type LoopReport struct {
 }
 
 // Counters is the deterministic per-request work accounting, read back
-// from the request's trace spans exactly like the evaluation harness's
-// Metrics. With serial pass 1 (the daemon default) every field is
-// deterministic; with SearchWorkers >= 2 the CostEvals/DedupHits/
-// MemoShardHits triple is scheduling-dependent (see partition.Options).
+// from the request's trace spans (CountersFromTrack); the evaluation
+// harness's per-job Metrics are built from it. With serial pass 1 (the
+// daemon default) every field is deterministic; with SearchWorkers >= 2
+// the CostEvals/DedupHits/MemoShardHits triple is scheduling-dependent
+// (see partition.Options).
 type Counters struct {
 	SearchNodes     int64 `json:"search_nodes"`
 	CostEvals       int64 `json:"cost_evals"`
@@ -125,17 +128,43 @@ type RespMeta struct {
 
 // CompileResponse is the deterministic result of one compilation.
 type CompileResponse struct {
-	Name         string       `json:"name"`
-	Level        string       `json:"level"`
-	Reports      []LoopReport `json:"reports"`
-	SPTCount     int          `json:"spt_count"`
-	Counters     Counters     `json:"counters"`
-	Degraded     bool         `json:"degraded,omitempty"`
-	Degradations []string     `json:"degradations,omitempty"`
+	Name         string        `json:"name"`
+	Level        string        `json:"level"`
+	Reports      []LoopReport  `json:"reports"`
+	SPTCount     int           `json:"spt_count"`
+	Counters     Counters      `json:"counters"`
+	Degraded     bool          `json:"degraded,omitempty"`
+	Degradations []Degradation `json:"degradations,omitempty"`
 	// IR is the final program listing, present when Options.Dump was set.
 	IR string `json:"ir,omitempty"`
 
 	Meta RespMeta `json:"-"`
+}
+
+// Degradation is the wire form of resilience.DegradationEvent: its typed
+// fields plus the error text. The panic stack stays on the executing
+// side.
+type Degradation struct {
+	Phase  string `json:"phase"`
+	Unit   string `json:"unit"`
+	Reason string `json:"reason"`
+	Error  string `json:"error,omitempty"`
+}
+
+// event rebuilds the typed event; ok is false for an unknown reason.
+func (d Degradation) event() (ev resilience.DegradationEvent, ok bool) {
+	ev = resilience.DegradationEvent{Phase: d.Phase, Unit: d.Unit}
+	ev.Reason, ok = resilience.ParseReason(d.Reason)
+	if d.Error != "" {
+		ev.Err = errors.New(d.Error)
+	}
+	return ev, ok
+}
+
+// String renders the event as resilience.DegradationEvent does.
+func (d Degradation) String() string {
+	ev, _ := d.event()
+	return ev.String()
 }
 
 // SimulateRequest asks for a compile + simulation.
@@ -265,7 +294,11 @@ func CompileData(res *core.Result, dump bool) *CompileResponse {
 		resp.Reports = append(resp.Reports, lr)
 	}
 	for _, ev := range res.Degradations {
-		resp.Degradations = append(resp.Degradations, ev.String())
+		d := Degradation{Phase: ev.Phase, Unit: ev.Unit, Reason: ev.Reason.String()}
+		if ev.Err != nil {
+			d.Error = ev.Err.Error()
+		}
+		resp.Degradations = append(resp.Degradations, d)
 	}
 	if dump {
 		resp.IR = ir.FormatProgram(res.Prog)
@@ -305,8 +338,10 @@ func SimData(sim *machine.Result) *SimSummary {
 }
 
 // CountersFromTrack reads the request's work counters back from its
-// completed trace spans, mirroring the harness's metricsFromTrack so the
-// wire counters and a local run's metrics agree by construction.
+// completed trace spans: the per-loop partition-search counters summed
+// over the "loop" spans, the fail-soft and incr counters of the "pass1"
+// and "transform" spans, and the dynamic instruction count of the
+// "simulate" span. A nil track (tracing off) gives zeros.
 func CountersFromTrack(tk *trace.Track) Counters {
 	if tk == nil {
 		return Counters{}
@@ -341,9 +376,10 @@ func CountersFromTrack(tk *trace.Track) Counters {
 
 // ReconstructCompile rebuilds the core result skeleton the evaluation
 // harness's figure extraction reads (reports with typed decisions, the
-// SPT loop list) from a wire response. IR-backed fields (Prog, Func,
-// Header) stay nil: everything derived from them travels explicitly on
-// the wire (HasCalls, Partition summaries).
+// SPT loop list, the typed degradation events) from a wire response.
+// IR-backed fields (Prog, Func, Header) stay nil: everything derived
+// from them travels explicitly on the wire (HasCalls, Partition
+// summaries).
 func ReconstructCompile(resp *CompileResponse) (*core.Result, error) {
 	lvl, ok := core.ParseLevel(resp.Level, true)
 	if !ok {
@@ -379,6 +415,13 @@ func ReconstructCompile(resp *CompileResponse) (*core.Result, error) {
 		if rep.Transformed {
 			res.SPT = append(res.SPT, &core.SPTLoop{ID: rep.SPTLoopID, Report: rep})
 		}
+	}
+	for _, d := range resp.Degradations {
+		ev, ok := d.event()
+		if !ok {
+			return nil, fmt.Errorf("service: response has unknown degradation reason %q", d.Reason)
+		}
+		res.Degradations = append(res.Degradations, ev)
 	}
 	// SPT lists are ID-ordered by construction in the compiler; the
 	// report order on the wire preserves that, but sort defensively.

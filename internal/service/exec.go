@@ -9,6 +9,7 @@ import (
 	"sptc/internal/core"
 	"sptc/internal/incr"
 	"sptc/internal/machine"
+	"sptc/internal/profile"
 	"sptc/internal/trace"
 )
 
@@ -34,6 +35,12 @@ type Env struct {
 	Incr *incr.Store
 	// SearchWorkers parallelizes pass 1 (result-invariant).
 	SearchWorkers int
+	// ProfileMemo shares profiling runs between the compiles that run
+	// with this Env (see core.Options.ProfileMemo; result-invariant). The
+	// evaluation harness sets one per suite. The daemon and the CLIs
+	// leave it nil: a memo that lives as long as the daemon would grow
+	// without bound.
+	ProfileMemo *profile.Memo
 	// Eng, when non-nil, is a pooled simulation engine owned by the
 	// calling worker (per-run machine state reuse).
 	Eng *machine.Engine
@@ -65,6 +72,7 @@ func (e Env) compileOptions(level core.Level, req ReqOptions, tk *trace.Track) c
 	opt.Context = e.ctx()
 	opt.SearchWorkers = e.SearchWorkers
 	opt.Incr = e.Incr
+	opt.ProfileMemo = e.ProfileMemo
 	opt.DisableSVP = opt.DisableSVP || req.DisableSVP
 	opt.DisableSelection = opt.DisableSelection || req.DisableSelection
 	if req.SearchBudget > 0 {

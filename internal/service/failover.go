@@ -141,15 +141,14 @@ func (f *Failover) breaker() *Breaker {
 	return f.Breaker
 }
 
-// WithContext returns a Failover bound to ctx (the harness's per-job
-// deadline cancels both the HTTP request and the local fallback) that
-// shares this one's breaker, so remote health accrues across jobs.
-func (f *Failover) WithContext(ctx context.Context) *Failover {
+// ForJob returns a Failover for one job of the evaluation harness: the
+// Remote bound to ctx, so the job's deadline cancels the HTTP request,
+// and local, the job's own environment, as the fallback. It shares this
+// Failover's breaker, so remote health accrues across jobs.
+func (f *Failover) ForJob(ctx context.Context, local *Local) *Failover {
 	rc := *f.Remote
 	rc.Context = ctx
-	lc := *f.Local
-	lc.Env.Context = ctx
-	return &Failover{Remote: &rc, Local: &lc, Breaker: f.breaker()}
+	return &Failover{Remote: &rc, Local: local, Breaker: f.breaker()}
 }
 
 // Compile implements Client.
