@@ -64,6 +64,16 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 	size := prog.Layout()
 	layoutMu.Unlock()
 
+	// Lower before reset sizes the memory image: a program lowering
+	// rejects would need an image beyond 2^31 words.
+	var low *loweredProg
+	if opt.Engine == EngineBytecode {
+		var err error
+		if low, err = lowerProgram(prog, cfg); err != nil {
+			sp.Str("error", err.Error())
+			return nil, err
+		}
+	}
 	s := e.reset(prog, cfg, opt, size)
 	for _, g := range prog.Globals {
 		if !g.IsArray() {
@@ -79,21 +89,19 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 		sp.Str("error", err.Error())
 		return nil, err
 	}
-	if opt.Engine == EngineBytecode {
-		s.low = lowerProgram(prog, cfg)
-		if s.low != nil && len(s.spt) > 0 {
-			s.sptID = make(map[*ir.Func][]int32, len(s.low.fns))
-			for f, lf := range s.low.fns {
-				ids := make([]int32, len(lf.blocks))
-				for i, b := range lf.blocks {
-					if id, ok := s.spt[b]; ok {
-						ids[i] = int32(id)
-					} else {
-						ids[i] = -1
-					}
+	s.low = low
+	if low != nil && len(s.spt) > 0 {
+		s.sptID = make(map[*ir.Func][]int32, len(low.fns))
+		for f, lf := range low.fns {
+			ids := make([]int32, len(lf.blocks))
+			for i, b := range lf.blocks {
+				if id, ok := s.spt[b]; ok {
+					ids[i] = int32(id)
+				} else {
+					ids[i] = -1
 				}
-				s.sptID[f] = ids
 			}
+			s.sptID[f] = ids
 		}
 	}
 	if _, err := s.call(prog.Main, nil, 0); err != nil {

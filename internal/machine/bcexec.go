@@ -17,11 +17,11 @@ type tval struct {
 }
 
 // execFrom dispatches block-range execution to the active engine: the
-// bytecode engine when the program was lowered (RunOptions.Engine ==
-// EngineBytecode, the default), the reference tree walker otherwise —
-// the test oracle (EngineTree), or the fallback for a program that
-// lowering rejects. Everything around it — the SPT pairwise runner, frames, speculative
-// buffers, memory hierarchy — is shared by both engines.
+// bytecode engine (RunOptions.Engine == EngineBytecode, the default,
+// which lowers every function of the program), or the reference tree
+// walker under EngineTree, the test oracle. Everything around it — the
+// SPT pairwise runner, frames, speculative buffers, memory hierarchy —
+// is shared by both engines.
 func (s *sim) execFrom(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool) (execOutcome, error) {
 	if s.low != nil {
 		return s.execByte(fr, blk, prev, stop)
@@ -44,9 +44,6 @@ func (s *sim) execFrom(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 // call can move the backing array, and the window is reloaded after).
 func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool) (execOutcome, error) {
 	lfn := s.low.fns[fr.fn]
-	if lfn == nil {
-		return s.exec(fr, blk, prev, stop)
-	}
 	code := lfn.code
 	aux := lfn.aux
 	sptID := s.sptID[fr.fn]

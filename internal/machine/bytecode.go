@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"sptc/internal/ir"
@@ -306,18 +307,36 @@ func (lo *lowerer) mergeBinII(prev, in *linstr, pc int32) (int32, bool) {
 	return pc, true
 }
 
-func lowerProgramUncached(prog *ir.Program, cfg Config) *loweredProg {
+// LoweringError reports a program the bytecode engine cannot lower: a
+// global reaches past the int32 word addresses that lowered
+// instructions hold. Such a program needs a memory image beyond 2^31
+// words, so Run returns this error before sizing the image. Callers
+// can tell it from a program error with errors.As.
+type LoweringError struct {
+	Global string
+	Addr   int // first word of the global, from Program.Layout
+	Size   int // words
+}
+
+func (e *LoweringError) Error() string {
+	return fmt.Sprintf("machine: cannot lower program: global %s (words %d..%d) lies beyond the int32 address range",
+		e.Global, e.Addr, e.Addr+e.Size-1)
+}
+
+// lowerProgramUncached lowers every function of prog, which must be laid
+// out. Every global must end within the int32 range, so each address and
+// array extent the lowered instructions store fits its int32 field.
+func lowerProgramUncached(prog *ir.Program, cfg Config) (*loweredProg, error) {
+	for _, g := range prog.Globals {
+		if g.Addr+g.Size > math.MaxInt32 {
+			return nil, &LoweringError{Global: g.Name, Addr: g.Addr, Size: g.Size}
+		}
+	}
 	lp := &loweredProg{fns: make(map[*ir.Func]*lowFunc, len(prog.Funcs))}
 	for _, f := range prog.Funcs {
-		lf := lowerFunc(f, cfg)
-		if lf == nil {
-			// A derived field overflowed its int32 slot (gigantic globals);
-			// the caller falls back to the tree walker.
-			return nil
-		}
-		lp.fns[f] = lf
+		lp.fns[f] = lowerFunc(f, cfg)
 	}
-	return lp
+	return lp, nil
 }
 
 func lowerFunc(f *ir.Func, cfg Config) *lowFunc {
@@ -348,17 +367,15 @@ func lowerFunc(f *ir.Func, cfg Config) *lowFunc {
 	lo.lf.code = make([]instr, len(lo.code))
 	lo.lf.aux = make([]instrAux, len(lo.code))
 	for i := range lo.code {
-		if !splitInstr(&lo.code[i], &lo.lf.code[i], &lo.lf.aux[i]) {
-			return nil
-		}
+		splitInstr(&lo.code[i], &lo.lf.code[i], &lo.lf.aux[i])
 	}
 	return lo.lf
 }
 
 // splitInstr derives one executed instruction and its aux entry from the
-// lowering-time form. Returns false when a derived scalar does not fit
-// its int32 slot (practically unreachable: it needs >2^31 memory words).
-func splitInstr(li *linstr, in *instr, ax *instrAux) bool {
+// lowering-time form. Global addresses fit their int32 slots:
+// lowerProgramUncached has checked every global's extent.
+func splitInstr(li *linstr, in *instr, ax *instrAux) {
 	*in = instr{op: li.op, bin: li.bin, xm: li.xm, ym: li.ym,
 		a: li.a, b: li.b, c: li.c, cost: li.cost, val: li.val, blk: li.blk}
 	*ax = instrAux{st: li.st, o: li.o, v: li.v, xv: li.xv, yv: li.yv, g: li.g, str: li.str}
@@ -375,14 +392,8 @@ func splitInstr(li *linstr, in *instr, ax *instrAux) bool {
 	}
 	switch li.op &^ bcStepped {
 	case bcLoadG, bcStoreG, bcStoreA, bcAsgLoadG, bcStoreGF, bcLoadAddr:
-		if li.g.Addr > 1<<31-1 {
-			return false
-		}
 		in.c = int32(li.g.Addr)
 	case bcLoadA1, bcAsgLoadA1, bcStoreA1F, bcLoadAsgA1, bcStoreA1NS:
-		if li.g.Addr > 1<<31-1 {
-			return false
-		}
 		in.d = int32(li.g.Addr)
 	case bcIf, bcIfVal, bcIfBinII:
 		in.d = int32(li.st.ID)
@@ -430,7 +441,6 @@ func splitInstr(li *linstr, in *instr, ax *instrAux) bool {
 			in.bin = 0
 		}
 	}
-	return true
 }
 
 func (lo *lowerer) lowerBlock(b *ir.Block) {
@@ -961,20 +971,21 @@ var (
 // it on a miss. Lowered code is immutable and safe to share between
 // concurrent simulations. The cache is bounded: the oldest program entry
 // is evicted when lowCachePrograms is exceeded (keyed by pointer
-// identity, so recompiling a source produces a fresh entry).
-func lowerProgram(prog *ir.Program, cfg Config) *loweredProg {
+// identity, so recompiling a source produces a fresh entry). A program
+// that cannot be lowered is not cached.
+func lowerProgram(prog *ir.Program, cfg Config) (*loweredProg, error) {
 	lowCacheMu.Lock()
 	if byCfg := lowCache[prog]; byCfg != nil {
 		if lp := byCfg[cfg]; lp != nil {
 			lowCacheMu.Unlock()
-			return lp
+			return lp, nil
 		}
 	}
 	lowCacheMu.Unlock()
 
-	lp := lowerProgramUncached(prog, cfg) // pure; done outside the lock
-	if lp == nil {
-		return nil // unlowerable (int32 overflow): don't cache, walker runs
+	lp, err := lowerProgramUncached(prog, cfg) // pure; done outside the lock
+	if err != nil {
+		return nil, err
 	}
 
 	lowCacheMu.Lock()
@@ -991,11 +1002,11 @@ func lowerProgram(prog *ir.Program, cfg Config) *loweredProg {
 		lowCacheOrder = append(lowCacheOrder, prog)
 	}
 	if ex := byCfg[cfg]; ex != nil {
-		return ex
+		return ex, nil
 	}
 	if len(byCfg) >= lowCacheConfigs {
 		clear(byCfg)
 	}
 	byCfg[cfg] = lp
-	return lp
+	return lp, nil
 }

@@ -59,15 +59,12 @@ func (c *cacheLevel) reset() {
 // access looks up the line holding addr, filling it on miss. Returns
 // whether it hit.
 func (c *cacheLevel) access(addr int) bool {
-	hit, _ := c.accessLine(int64(addr) >> c.lineBits)
-	return hit
+	return c.accessLine(int64(addr) >> c.lineBits)
 }
 
 // accessLine looks up line (an address already shifted by lineBits),
-// filling it on miss. The second result is the meta index of the way
-// the line now occupies (the hit way, or the filled victim), which the
-// hierarchy's residency scoreboard memoizes for repeat accesses.
-func (c *cacheLevel) accessLine(line int64) (bool, int32) {
+// filling it on miss. Returns whether it hit.
+func (c *cacheLevel) accessLine(line int64) bool {
 	var set int
 	if c.setMask >= 0 {
 		set = int(line & c.setMask)
@@ -82,7 +79,7 @@ func (c *cacheLevel) accessLine(line int64) (bool, int32) {
 		if m&invalidWay == tag {
 			ways[w] = tag | uint64(c.stamp)
 			c.hits++
-			return true, int32(base + w)
+			return true
 		}
 	}
 	// Miss: the victim is the lowest-indexed way with the minimal stamp.
@@ -98,49 +95,15 @@ func (c *cacheLevel) accessLine(line int64) (bool, int32) {
 	}
 	c.misses++
 	ways[victim] = tag | uint64(c.stamp)
-	return false, int32(base + victim)
+	return false
 }
 
-// sbSize is the slot count of the hierarchy's line-residency
-// scoreboard. It models the reuse distance of an in-order issue
-// window: consecutive accesses overwhelmingly touch lines that were
-// just touched (array sweeps revisit the same line LineWords times in
-// a row, plus a handful of hot scalar lines), so a small direct-mapped
-// memo captures nearly all repeats while staying resident in a few
-// hardware cache lines. Larger boards (512 slots) measured slower:
-// the extra real-cache footprint outweighs the aliasing it avoids.
-const sbSize = 64
-
-// sbEntry memoizes where one simulated line was last seen in L1.
-type sbEntry struct {
-	line int64 // simulated line number, or -1 for an empty slot
-	idx  int32 // index into l1.meta where that line was last resident
-}
-
-// hierarchy is the shared three-level cache plus memory, fronted by a
-// window scoreboard that answers repeat same-line hits without
-// re-walking the set.
-//
-// Scoreboard invariants (DESIGN.md "Memory model"):
-//   - An entry is advisory, never authoritative: the fast path
-//     re-validates the memoized way's tag against l1.meta before use,
-//     so a stale entry (the way was re-filled by another line since)
-//     falls through to the full walk. Tags are unique per line (line
-//     numbers are non-negative and below 2^31), so a tag match proves
-//     the line is resident in that way.
-//   - On a validated hit the fast path performs exactly the mutations
-//     of a full walk that hits: one global stamp tick, the way's
-//     stamp refresh, one l1.hits increment. L2/L3 are untouched by an
-//     L1 hit in both paths. Hit/miss counters and LRU state are
-//     therefore bit-identical to per-access walks by construction.
-//   - The slow path records the way each line lands in (hit or fill),
-//     so the very next access to that line takes the fast path.
+// hierarchy is the shared three-level cache plus memory.
 type hierarchy struct {
 	l1, l2, l3 *cacheLevel
 	lineBits   uint
 	memLat     float64
 	memAccess  int64
-	sb         [sbSize]sbEntry
 }
 
 func newHierarchy(cfg Config) *hierarchy {
@@ -151,54 +114,27 @@ func newHierarchy(cfg Config) *hierarchy {
 		memLat: cfg.MemLat,
 	}
 	h.lineBits = h.l1.lineBits
-	h.clearScoreboard()
 	return h
 }
 
-func (h *hierarchy) clearScoreboard() {
-	for i := range h.sb {
-		h.sb[i] = sbEntry{line: -1}
-	}
-}
-
-// reset cold-clears all three levels, the scoreboard and the
-// memory-access counter.
+// reset cold-clears all three levels and the memory-access counter.
 func (h *hierarchy) reset() {
 	h.l1.reset()
 	h.l2.reset()
 	h.l3.reset()
-	h.clearScoreboard()
 	h.memAccess = 0
 }
 
 // load returns the latency of a load from addr.
 func (h *hierarchy) load(addr int) float64 {
 	line := int64(addr) >> h.lineBits
-	e := &h.sb[int(line)&(sbSize-1)]
-	if e.line == line {
-		l1 := h.l1
-		if tag := uint64(uint32(line)) << 32; l1.meta[e.idx]&invalidWay == tag {
-			l1.stamp++
-			l1.meta[e.idx] = tag | uint64(l1.stamp)
-			l1.hits++
-			return l1.lat
-		}
-	}
-	return h.loadLine(line, e)
-}
-
-// loadLine is the full walk behind the scoreboard fast path; it
-// refreshes the scoreboard entry with the L1 way the line now occupies.
-func (h *hierarchy) loadLine(line int64, e *sbEntry) float64 {
-	hit, idx := h.l1.accessLine(line)
-	e.line, e.idx = line, idx
-	if hit {
+	if h.l1.accessLine(line) {
 		return h.l1.lat
 	}
-	if hit, _ := h.l2.accessLine(line); hit {
+	if h.l2.accessLine(line) {
 		return h.l2.lat
 	}
-	if hit, _ := h.l3.accessLine(line); hit {
+	if h.l3.accessLine(line) {
 		return h.l3.lat
 	}
 	h.memAccess++
@@ -208,18 +144,7 @@ func (h *hierarchy) loadLine(line int64, e *sbEntry) float64 {
 // store touches the hierarchy (write-allocate) but is charged as issue
 // cost only; store latency hides behind the store buffer.
 func (h *hierarchy) store(addr int) {
-	line := int64(addr) >> h.lineBits
-	e := &h.sb[int(line)&(sbSize-1)]
-	if e.line == line {
-		l1 := h.l1
-		if tag := uint64(uint32(line)) << 32; l1.meta[e.idx]&invalidWay == tag {
-			l1.stamp++
-			l1.meta[e.idx] = tag | uint64(l1.stamp)
-			l1.hits++
-			return
-		}
-	}
-	h.loadLine(line, e)
+	h.load(addr)
 }
 
 // branchPredictor is a table of 2-bit saturating counters indexed by a

@@ -106,8 +106,9 @@ type RunOptions struct {
 	// fidelity counters — and serves as the bytecode engine's
 	// differential oracle (TestEngineFidelity*, the core differential
 	// and fuzz tests, TestAttributionIsPureObserver,
-	// BenchmarkSimulateTree). The walker also runs, whatever this field
-	// says, a program that lowering rejects.
+	// BenchmarkSimulateTree). Under EngineBytecode, Run returns a
+	// *LoweringError for a program the engine cannot lower; the walker
+	// never runs in its place.
 	Engine EngineKind
 }
 

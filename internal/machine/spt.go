@@ -165,21 +165,20 @@ func (s *sim) runSPTLoop(fr *frame, header, prev *ir.Block, loopID int) (*ir.Blo
 	// Give the bytecode engine a dense view of the stop predicate
 	// (closure-and-map-free); built once per run per header.
 	if s.low != nil {
-		if lfn := s.low.fns[fr.fn]; lfn != nil {
-			dense := s.inLoopDense[header]
-			if dense == nil {
-				dense = make([]bool, len(lfn.blocks))
-				for i, b := range lfn.blocks {
-					dense[i] = inLoop[b]
-				}
-				if s.inLoopDense == nil {
-					s.inLoopDense = make(map[*ir.Block][]bool)
-				}
-				s.inLoopDense[header] = dense
+		dense := s.inLoopDense[header]
+		if dense == nil {
+			lfn := s.low.fns[fr.fn]
+			dense = make([]bool, len(lfn.blocks))
+			for i, b := range lfn.blocks {
+				dense[i] = inLoop[b]
 			}
-			s.stopHdr, s.stopIn = header, dense
-			defer func() { s.stopHdr, s.stopIn = nil, nil }()
+			if s.inLoopDense == nil {
+				s.inLoopDense = make(map[*ir.Block][]bool)
+			}
+			s.inLoopDense[header] = dense
 		}
+		s.stopHdr, s.stopIn = header, dense
+		defer func() { s.stopHdr, s.stopIn = nil, nil }()
 	}
 
 	elapsed0 := s.cycles

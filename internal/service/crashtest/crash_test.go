@@ -210,7 +210,7 @@ func TestCrashRestartCycles(t *testing.T) {
 }
 
 // sweepRow is one flush-interval configuration's measurement in the
-// BENCH_pr9 durability/latency trade-off sweep.
+// durability/latency trade-off sweep.
 type sweepRow struct {
 	FlushInterval    string `json:"flush_interval"`
 	MaxLossWindowMS  int64  `json:"max_loss_window_ms"`
@@ -226,8 +226,7 @@ type sweepRow struct {
 // and costs: warm-path latency (p50/p95) under each interval, and how
 // many cold entries survive an immediate kill -9. Entries behind a
 // completed flush must always survive; the loss bound is the flush
-// window. With SPTD_BENCH_OUT set, the rows are written as the
-// BENCH_pr9.json artifact.
+// window. The rows are logged as JSON (visible under -v).
 func TestFlushIntervalSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level latency sweep")
@@ -318,11 +317,5 @@ func TestFlushIntervalSweep(t *testing.T) {
 		"warm_reads": warm,
 		"rows":       rows,
 	}, "", "  ")
-	data = append(data, '\n')
 	t.Logf("sweep:\n%s", data)
-	if out := os.Getenv("SPTD_BENCH_OUT"); out != "" {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

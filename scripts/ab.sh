@@ -7,7 +7,7 @@
 #   AB_PAIRS=10 AB_SEED=2 scripts/ab.sh main suite
 #
 # Checks out the committed files of BASE and HEAD into temporary git
-# worktrees outside the repository (under ${TMPDIR:-/tmp}), then runs
+# worktrees outside the repository (scripts/worktrees.sh), then runs
 #   bash perfbench/run.sh --workload W --seed N --seconds S --trace 0
 # in both, with S the run_seconds of BENCHMARK.json, one seed per pair,
 # switching which side runs first from pair to pair. Each side builds
@@ -46,36 +46,8 @@ pairs=${AB_PAIRS:-10}
 seed0=${AB_SEED:-1}
 seconds=$(jq -r '.run_seconds' "$bench")
 
-tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
-
-kill_tree() {
-    local child
-    for child in $(pgrep -P "$1" || true); do
-        kill_tree "$child"
-    done
-    kill -KILL "$1" 2>/dev/null || true
-}
-
-cleanup() {
-    trap - EXIT INT TERM
-    for child in $(pgrep -P $$ || true); do
-        kill_tree "$child"
-    done
-    wait 2>/dev/null || true
-    for side in base head; do
-        if [[ -d $tmp/$side ]]; then
-            git -C "$repo" worktree remove --force "$tmp/$side" 2>/dev/null || true
-        fi
-    done
-    git -C "$repo" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-trap 'exit 130' INT
-trap 'exit 143' TERM
-
-git -C "$repo" worktree add --quiet --detach "$tmp/base" "$base_rev"
-git -C "$repo" worktree add --quiet --detach "$tmp/head" "$head_rev"
+source scripts/worktrees.sh
+worktrees "$base_rev" "$head_rev"
 
 # raw.tsv: workload, pair, side, metric, value — one line per metric of
 # every completed run.

@@ -7,15 +7,14 @@
 # fails, no torn entry is ever served, and every response behind a
 # completed flush comes back warm and byte-identical after restart, and
 # that a daemon dies with the process that started it. Then runs the
-# flush-interval sweep and writes the durability/latency
-# trade-off table (warm p50/p95 vs max-loss window) as BENCH_pr9.json.
+# flush-interval sweep, which logs the durability/latency trade-off
+# table (warm p50/p95 vs max-loss window).
 #
-# Usage: scripts/chaos.sh [output.json]
+# Usage: scripts/chaos.sh
 #   SPTD_CHAOS_CYCLES=20 scripts/chaos.sh        # CI runs 20 cycles
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=${1:-BENCH_pr9.json}
 cycles=${SPTD_CHAOS_CYCLES:-6}
 
 # The test binary — the concurrent client load and all salvage-side
@@ -23,5 +22,4 @@ cycles=${SPTD_CHAOS_CYCLES:-6}
 # real production build.
 SPTD_CHAOS_CYCLES="$cycles" go test -race -run 'TestCrashRestartCycles|TestDaemonDiesWithParent' -count=1 -v ./internal/service/crashtest/
 
-SPTD_BENCH_OUT="$(pwd)/$out" go test -run 'TestFlushIntervalSweep' -count=1 -v ./internal/service/crashtest/
-echo "wrote $out" >&2
+go test -run 'TestFlushIntervalSweep' -count=1 -v ./internal/service/crashtest/
