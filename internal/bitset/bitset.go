@@ -74,6 +74,17 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
+// SubsetOf reports whether every element of s is in t. The sets must
+// have equal capacity.
+func (s Set) SubsetOf(t Set) bool {
+	for i, w := range s {
+		if w&^t[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ForEach calls fn for every element in ascending order.
 func (s Set) ForEach(fn func(i int)) {
 	for wi, w := range s {
@@ -83,23 +94,6 @@ func (s Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Hash returns a 64-bit FNV-1a content hash of the set. Equal sets hash
-// equally; the hash doubles as the shard selector and bucket key of
-// concurrent tables keyed on set content, so one pass over the words
-// serves both (no separate string key is built).
-func (s Set) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, w := range s {
-		h ^= w
-		h *= prime64
-	}
-	return h
 }
 
 // SeqLess reports whether s precedes t in the depth-first visit order of

@@ -48,6 +48,9 @@ func TestOrCloneEqual(t *testing.T) {
 	if c.Equal(a) || !c.Equal(c.Clone()) {
 		t.Fatal("Equal broken")
 	}
+	if !a.SubsetOf(c) || c.SubsetOf(a) || !c.SubsetOf(c) || !New(100).SubsetOf(a) {
+		t.Fatal("SubsetOf broken")
+	}
 	c.Clear()
 	if c.Count() != 0 {
 		t.Fatal("Clear broken")

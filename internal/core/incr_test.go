@@ -192,15 +192,13 @@ func diffIncrCompiles(t *testing.T, cold, warm *core.Result, workers int) {
 			t.Fatalf("report %d search nodes: %d (scratch) vs %d (incremental)", i, cp.SearchNodes, wp.SearchNodes)
 		}
 		if workers <= 1 {
-			// Serial search: the zero-set memo dedups cost queries before
-			// they reach an evaluator, so CostEvals and DedupHits are
-			// deterministic and the restored values must match a cold
-			// compile exactly. Recomputes is not comparable: evaluators
-			// live in a sync.Pool, and a GC-evicted evaluator re-enters
-			// cold and re-propagates, so the count drifts with GC timing.
-			if cp.CostEvals != wp.CostEvals || cp.DedupHits != wp.DedupHits {
-				t.Fatalf("report %d counters differ: scratch evals=%d dedup=%d, incremental evals=%d dedup=%d",
-					i, cp.CostEvals, cp.DedupHits, wp.CostEvals, wp.DedupHits)
+			// At most one worker: each walker owns its evaluators and
+			// visits its subtrees in a fixed order, so every work counter
+			// is deterministic and the restored values must match a cold
+			// compile exactly.
+			if cp.CostEvals != wp.CostEvals || cp.DedupHits != wp.DedupHits || cp.Recomputes != wp.Recomputes {
+				t.Fatalf("report %d counters differ: scratch evals=%d dedup=%d recomputes=%d, incremental evals=%d dedup=%d recomputes=%d",
+					i, cp.CostEvals, cp.DedupHits, cp.Recomputes, wp.CostEvals, wp.DedupHits, wp.Recomputes)
 			}
 		}
 	}

@@ -262,10 +262,6 @@ type Result struct {
 	Reports []*LoopReport
 	SPT     []*SPTLoop
 
-	// Profiles from the final profiling run (nil at LevelBase).
-	Edge *profile.EdgeProfile
-	Dep  *profile.DepProfile
-
 	// Degradations lists every fail-soft event survived during the
 	// compile: loops demoted to serial after a panic, and anytime
 	// partition searches stopped by a budget or deadline.
@@ -387,8 +383,6 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 		}
 	}
 	prof.Edge.Apply(p)
-	res.Edge = prof.Edge
-	res.Dep = prof.Dep
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -520,8 +514,7 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 			Int("dedup_hits", int64(pr.DedupHits)).
 			Int("recomputes", int64(pr.Recomputes)).
 			Int("search_workers", int64(pr.Workers)).
-			Int("bound_updates", int64(pr.BoundUpdates)).
-			Int("memo_shard_hits", int64(pr.MemoShardHits))
+			Int("bound_updates", int64(pr.BoundUpdates))
 		order := j.order
 		if order == nil && j.g != nil {
 			order = j.g.Order

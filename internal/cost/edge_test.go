@@ -143,6 +143,26 @@ func TestEvaluatorEdgeCases(t *testing.T) {
 				}
 				seen[mask] = got
 			}
+
+			// Across evaluators: a fresh one and a clone of e, walking
+			// the masks in Gray-code order, must reproduce e's answers
+			// bit for bit. The partition search relies on this: its
+			// walkers evaluate on several evaluators each and reuse a
+			// cost across them.
+			for name, f := range map[string]*Evaluator{"fresh": m.NewEvaluator(), "clone": e.Clone()} {
+				for k := 0; k < 1<<n; k++ {
+					mask := k ^ k>>1
+					zero := bitset.New(n)
+					for i, vc := range vcs {
+						if mask&(1<<i) != 0 {
+							zero.Add(f.Ordinal(vc))
+						}
+					}
+					if got := f.EvalSet(zero); got != seen[mask] {
+						t.Fatalf("%s evaluator, mask %b: %.17f, first evaluator %.17f", name, mask, got, seen[mask])
+					}
+				}
+			}
 		})
 	}
 }

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"math/bits"
-	"sync"
 
 	"sptc/internal/bitset"
 	"sptc/internal/ir"
@@ -52,7 +51,6 @@ type Evaluator struct {
 	constTotal float64    // Σ v·cost over static op nodes
 	dynTotal   float64    // Σ v·cost over dynamic op nodes
 
-	evals      int // propagations that recomputed at least one node
 	recomputes int // dirty nodes actually recomputed across all evals
 }
 
@@ -184,6 +182,20 @@ func (m *Model) NewEvaluator() *Evaluator {
 	return e
 }
 
+// Clone returns an evaluator at e's current zero-set. The clone shares
+// e's immutable tables and copies only the per-evaluation state, so it
+// is cheap to make and its first evaluation recomputes only what differs
+// from e's last set. e and its clone may then be used from different
+// goroutines.
+func (e *Evaluator) Clone() *Evaluator {
+	c := *e
+	c.v = append([]float64(nil), e.v...)
+	c.cur = e.cur.Clone()
+	c.dirty = make([]bool, len(e.dirty))
+	c.recomputes = 0
+	return &c
+}
+
 // NumVCs returns the number of violation candidates (pseudo nodes).
 func (e *Evaluator) NumVCs() int { return e.nVC }
 
@@ -195,11 +207,6 @@ func (e *Evaluator) Ordinal(vc *ir.Stmt) int {
 	}
 	return -1
 }
-
-// Evals returns how many evaluations recomputed at least one node (a
-// measure of propagation work; evaluations whose zero-set matched the
-// current state cost nothing).
-func (e *Evaluator) Evals() int { return e.evals }
 
 // Recomputes returns the total number of dirty dynamic nodes the §4.2.3
 // propagation recomputed across all evaluations — the incremental
@@ -251,7 +258,6 @@ func (e *Evaluator) EvalSet(zero bitset.Set) float64 {
 	if minPos == nDyn {
 		return e.constTotal + e.dynTotal
 	}
-	e.evals++
 	for pos := minPos; pos < nDyn; pos++ {
 		ni := e.dynIdx[pos]
 		if !e.dirty[ni] {
@@ -280,64 +286,4 @@ func (e *Evaluator) EvalSet(zero bitset.Set) float64 {
 	// bit-for-bit, independent of evaluation history.
 	e.dynTotal = e.sumDynamic()
 	return e.constTotal + e.dynTotal
-}
-
-// EvaluatorPool hands out per-worker Evaluators of one model. The
-// parallel partition search runs one walker per goroutine, and each
-// walker needs a private Evaluator (the incremental state in the
-// evaluator is single-threaded by design); pooling them keeps the
-// propagation state warm across the short subtree tasks a worker drains
-// instead of rebuilding the dense arrays per task. The pool additionally
-// remembers every evaluator it ever created so the search can aggregate
-// Evals/Recomputes across workers after the fan-out joins.
-type EvaluatorPool struct {
-	m    *Model
-	pool sync.Pool
-
-	mu  sync.Mutex
-	all []*Evaluator
-}
-
-// NewEvaluatorPool returns an empty pool of evaluators for the model.
-func (m *Model) NewEvaluatorPool() *EvaluatorPool {
-	p := &EvaluatorPool{m: m}
-	p.pool.New = func() any {
-		e := m.NewEvaluator()
-		p.mu.Lock()
-		p.all = append(p.all, e)
-		p.mu.Unlock()
-		return e
-	}
-	return p
-}
-
-// Get hands out an evaluator (freshly built or recycled with its
-// incremental state intact).
-func (p *EvaluatorPool) Get() *Evaluator { return p.pool.Get().(*Evaluator) }
-
-// Put returns an evaluator to the pool.
-func (p *EvaluatorPool) Put(e *Evaluator) { p.pool.Put(e) }
-
-// Evals sums Evals over every evaluator the pool created. Call after the
-// goroutines using the pool have joined.
-func (p *EvaluatorPool) Evals() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.all {
-		n += e.Evals()
-	}
-	return n
-}
-
-// Recomputes sums Recomputes over every evaluator the pool created. Call
-// after the goroutines using the pool have joined.
-func (p *EvaluatorPool) Recomputes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.all {
-		n += e.Recomputes()
-	}
-	return n
 }

@@ -100,7 +100,7 @@ func (s *SuiteResult) WriteCSV(w io.Writer, level core.Level) error {
 
 	// Per-job metrics: the wall-clock columns vary run to run; everything
 	// else is deterministic.
-	if err := section("metrics", []string{"program", "level", "status", "compile_ms", "simulate_ms", "search_nodes", "cost_evals", "dedup_hits", "recomputes", "search_workers", "bound_updates", "memo_shard_hits", "incr_hits", "incr_misses", "incr_invalidated", "sim_ops", "degraded", "retries"}); err != nil {
+	if err := section("metrics", []string{"program", "level", "status", "compile_ms", "simulate_ms", "search_nodes", "cost_evals", "dedup_hits", "recomputes", "search_workers", "bound_updates", "incr_hits", "incr_misses", "incr_invalidated", "sim_ops", "degraded", "retries"}); err != nil {
 		return err
 	}
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)) }
@@ -109,7 +109,7 @@ func (s *SuiteResult) WriteCSV(w io.Writer, level core.Level) error {
 			program, level.String(), st.String(), ms(m.Compile), ms(m.Simulate),
 			fmt.Sprint(m.SearchNodes), fmt.Sprint(m.CostEvals), fmt.Sprint(m.DedupHits),
 			fmt.Sprint(m.Recomputes), fmt.Sprint(m.SearchWorkers), fmt.Sprint(m.BoundUpdates),
-			fmt.Sprint(m.MemoShardHits), fmt.Sprint(m.IncrHits), fmt.Sprint(m.IncrMisses),
+			fmt.Sprint(m.IncrHits), fmt.Sprint(m.IncrMisses),
 			fmt.Sprint(m.IncrInvalidated), fmt.Sprint(m.SimOps), fmt.Sprint(m.Degraded),
 			fmt.Sprint(m.Retries),
 		})

@@ -149,11 +149,11 @@ func (s *SuiteResult) WriteFig19(w io.Writer, level core.Level) {
 // instructions simulated.
 func (s *SuiteResult) WriteMetrics(w io.Writer) {
 	fmt.Fprintln(w, "Per-job metrics (wall clock)")
-	fmt.Fprintln(w, "Program    level       status       compile   simulate  search-nodes  cost-evals  dedup-hits  recomputes  workers  bound-upd  shard-hits  incr-h  incr-m  incr-i       sim-ops  degraded  retries")
+	fmt.Fprintln(w, "Program    level       status       compile   simulate  search-nodes  cost-evals  dedup-hits  recomputes  workers  bound-upd  incr-h  incr-m  incr-i       sim-ops  degraded  retries")
 	row := func(name string, level core.Level, st Status, m Metrics) {
-		fmt.Fprintf(w, "%-10s %-11s %-8s  %9s  %9s  %12d  %10d  %10d  %10d  %7d  %9d  %10d  %6d  %6d  %6d  %12d  %8d  %7d\n",
+		fmt.Fprintf(w, "%-10s %-11s %-8s  %9s  %9s  %12d  %10d  %10d  %10d  %7d  %9d  %6d  %6d  %6d  %12d  %8d  %7d\n",
 			name, level, st, fmtDur(m.Compile), fmtDur(m.Simulate), m.SearchNodes, m.CostEvals, m.DedupHits, m.Recomputes,
-			m.SearchWorkers, m.BoundUpdates, m.MemoShardHits, m.IncrHits, m.IncrMisses, m.IncrInvalidated, m.SimOps, m.Degraded, m.Retries)
+			m.SearchWorkers, m.BoundUpdates, m.IncrHits, m.IncrMisses, m.IncrInvalidated, m.SimOps, m.Degraded, m.Retries)
 	}
 	for _, r := range s.Runs {
 		row(r.Name, core.LevelBase, r.BaseStatus, r.BaseMetrics)

@@ -28,9 +28,10 @@ type Metrics struct {
 	// which performs no partition search).
 	SearchNodes int64
 	// CostEvals totals the §4.2.3 cost propagations the partition
-	// searches actually performed; DedupHits counts the cost queries
-	// answered from the interned zero-set table without propagating.
-	// Their sum is the number of cost queries the searches issued.
+	// searches actually performed; DedupHits counts the lower bounds the
+	// searches reused from a parent bound or a record without
+	// propagating. Their sum is the number of cost queries the searches
+	// issued.
 	CostEvals int64
 	DedupHits int64
 	// Recomputes totals the dirty dynamic nodes the incremental cost
@@ -40,12 +41,8 @@ type Metrics struct {
 	// compile's partition searches ran with (0: classic serial search).
 	SearchWorkers int64
 	// BoundUpdates totals the incumbent improvements the searches
-	// recorded (the bound heuristic 2 prunes against); MemoShardHits
-	// totals the cost queries answered by a memo entry another worker
-	// propagated (always 0 for serial searches, scheduling-dependent
-	// when SearchWorkers >= 2).
-	BoundUpdates  int64
-	MemoShardHits int64
+	// recorded (the bound heuristic 2 prunes against).
+	BoundUpdates int64
 	// IncrHits/IncrMisses/IncrInvalidated are the incremental-compilation
 	// counters (0 unless the executing Local's Env.Incr provides a
 	// loop-result store): loops
@@ -81,7 +78,6 @@ func metricsFromCounters(c service.Counters, meta service.RespMeta) Metrics {
 		Recomputes:      c.Recomputes,
 		SearchWorkers:   c.SearchWorkers,
 		BoundUpdates:    c.BoundUpdates,
-		MemoShardHits:   c.MemoShardHits,
 		IncrHits:        c.IncrHits,
 		IncrMisses:      c.IncrMisses,
 		IncrInvalidated: c.IncrInvalidated,

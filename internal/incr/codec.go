@@ -36,12 +36,11 @@ type Entry struct {
 
 	// Search counters, restored on a hit so reports and traces match a
 	// deterministic cold compile.
-	SearchNodes   int64
-	CostEvals     int64
-	DedupHits     int64
-	Recomputes    int64
-	BoundUpdates  int64
-	MemoShardHits int64
+	SearchNodes  int64
+	CostEvals    int64
+	DedupHits    int64
+	Recomputes   int64
+	BoundUpdates int64
 }
 
 // EncodeResult converts a partition result to a storable entry. Returns
@@ -63,12 +62,11 @@ func EncodeResult(pr *partition.Result, order map[*ir.Stmt]int, stmtCount int, s
 		Cost:        pr.Cost,
 		EmptyCost:   pr.EmptyCost,
 
-		SearchNodes:   int64(pr.SearchNodes),
-		CostEvals:     int64(pr.CostEvals),
-		DedupHits:     int64(pr.DedupHits),
-		Recomputes:    int64(pr.Recomputes),
-		BoundUpdates:  int64(pr.BoundUpdates),
-		MemoShardHits: int64(pr.MemoShardHits),
+		SearchNodes:  int64(pr.SearchNodes),
+		CostEvals:    int64(pr.CostEvals),
+		DedupHits:    int64(pr.DedupHits),
+		Recomputes:   int64(pr.Recomputes),
+		BoundUpdates: int64(pr.BoundUpdates),
 	}
 	var ok bool
 	if e.PreForkVCs, ok = stmtIndices(pr.PreForkVCs, order, stmtCount); !ok {
@@ -103,13 +101,12 @@ func (e *Entry) Decode(stmts []*ir.Stmt, workers int) (*partition.Result, bool) 
 		Move:        make(map[*ir.Stmt]bool, len(e.Move)),
 		CopyConds:   make(map[*ir.Stmt]bool, len(e.CopyConds)),
 
-		SearchNodes:   int(e.SearchNodes),
-		CostEvals:     int(e.CostEvals),
-		DedupHits:     int(e.DedupHits),
-		Recomputes:    int(e.Recomputes),
-		Workers:       workers,
-		BoundUpdates:  int(e.BoundUpdates),
-		MemoShardHits: int(e.MemoShardHits),
+		SearchNodes:  int(e.SearchNodes),
+		CostEvals:    int(e.CostEvals),
+		DedupHits:    int(e.DedupHits),
+		Recomputes:   int(e.Recomputes),
+		Workers:      workers,
+		BoundUpdates: int(e.BoundUpdates),
 	}
 	for _, i := range e.PreForkVCs {
 		if i < 0 || int(i) >= len(stmts) {
@@ -281,7 +278,6 @@ func encodeRecord(k Key, e *Entry) []byte {
 	enc.i64(e.DedupHits)
 	enc.i64(e.Recomputes)
 	enc.i64(e.BoundUpdates)
-	enc.i64(e.MemoShardHits)
 	return enc.buf
 }
 
@@ -310,7 +306,6 @@ func decodeRecord(payload []byte) (Key, *Entry, error) {
 	e.DedupHits = d.i64()
 	e.Recomputes = d.i64()
 	e.BoundUpdates = d.i64()
-	e.MemoShardHits = d.i64()
 	if d.err == nil && d.off != len(payload) {
 		d.err = fmt.Errorf("incr: %d trailing bytes in record", len(payload)-d.off)
 	}

@@ -198,7 +198,7 @@ func samplePartition(stmts []*ir.Stmt) *partition.Result {
 		PreForkVCs:  []*ir.Stmt{stmts[1], stmts[4]},
 		Move:        map[*ir.Stmt]bool{stmts[0]: true, stmts[2]: true},
 		CopyConds:   map[*ir.Stmt]bool{stmts[3]: true},
-		SearchNodes: 101, CostEvals: 88, DedupHits: 7, Recomputes: 2, BoundUpdates: 5, MemoShardHits: 1,
+		SearchNodes: 101, CostEvals: 88, DedupHits: 7, Recomputes: 2, BoundUpdates: 5,
 	}
 }
 
@@ -230,7 +230,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("CopyConds set lost: %v", got.CopyConds)
 	}
 	if got.SearchNodes != 101 || got.CostEvals != 88 || got.DedupHits != 7 ||
-		got.Recomputes != 2 || got.BoundUpdates != 5 || got.MemoShardHits != 1 {
+		got.Recomputes != 2 || got.BoundUpdates != 5 {
 		t.Fatalf("counters lost: %+v", got)
 	}
 }
@@ -534,7 +534,7 @@ func TestStoreMalformedRecordPayload(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "malformed.cache")
-			data := append([]byte("sptincr1"), record(c.payload)...)
+			data := append([]byte("sptincr2"), record(c.payload)...)
 			if err := os.WriteFile(path, data, 0o666); err != nil {
 				t.Fatal(err)
 			}

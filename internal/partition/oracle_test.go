@@ -165,8 +165,9 @@ const maxOracleVCs = 10
 // given options — callers vary Workers to put the parallel search
 // through the same oracle) and the naive reference on one loop and
 // cross-checks every observable: optimal cost, empty cost, pre-fork
-// size, node counts, and that the returned partition re-evaluates (from
-// scratch, on the plain model) to the claimed cost.
+// size, node counts, that the returned partition re-evaluates (from
+// scratch, on the plain model) to the claimed cost, and that every lower
+// bound the search reuses instead of propagating is exact.
 func checkSearchAgainstReference(tb testing.TB, g *depgraph.Graph, m *cost.Model, opt partition.Options) {
 	tb.Helper()
 	if len(g.VCs) > maxOracleVCs {
@@ -226,6 +227,9 @@ func checkSearchAgainstReference(tb testing.TB, g *depgraph.Graph, m *cost.Model
 	}
 	if rn.PreForkSize != ref.size {
 		tb.Fatalf("unpruned pre-fork size: search %d, reference %d (cost %.4f)", rn.PreForkSize, ref.size, rn.Cost)
+	}
+	if bad := partition.LowerBoundMismatches(g, m); bad != 0 {
+		tb.Fatalf("%d of %d lower bounds differ from a fresh propagation", bad, ref.nodes)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sptc/internal/cost"
 	"sptc/internal/resilience"
 )
 
@@ -28,59 +29,18 @@ const frontierDepth = 2
 // against the global best; the partition returned is the same either
 // way (the global (cost, size, rank) minimum), only the explored node
 // counts differ.
-func (s *searcher) runParallel(r *Result, budget *resilience.Budget) (*incumbent, []error) {
-	coord := s.newWalker(-1, budget, false, false)
+func (s *searcher) runParallel(r *Result, budget *resilience.Budget, eval *cost.Evaluator) (*incumbent, []error) {
+	// Serial frontier expansion: the coordinator runs walker.search node
+	// for node (charging, bound cut, legality, size prune, record) down
+	// to frontierDepth, where subtrees are queued instead of descended
+	// into.
+	coord := s.newWalker(budget, false, false)
+	coord.evs[0] = eval
+	coord.frontier = frontierDepth
 	coord.seedEmpty(r.EmptyCost)
-	coord.record()
-
-	// Serial frontier expansion. Mirrors walker.search node for node
-	// (charging, bound cut, legality, size prune, record) down to
-	// frontierDepth, where subtrees are queued instead of descended
-	// into: a task's root node is charged and bound-checked by the
-	// worker that runs it, exactly as the serial recursion would.
-	var tasks [][]int32
-	var expand func(lastIdx, depth int)
-	expand = func(lastIdx, depth int) {
-		if coord.stop != nil {
-			return
-		}
-		if err := coord.budget.Spend(1); err != nil {
-			coord.stop = err
-			return
-		}
-		coord.nodes++
-		if coord.boundCut(lastIdx) {
-			return
-		}
-		for i := lastIdx + 1; i < s.n && coord.stop == nil; i++ {
-			if !coord.legal(i) {
-				continue
-			}
-			coord.push(i)
-			if s.opt.PruneSize && coord.curSize > s.sizeLimit {
-				coord.pop(i)
-				continue
-			}
-			if coord.curSize <= s.sizeLimit {
-				coord.record()
-			}
-			if depth+1 < frontierDepth {
-				expand(i, depth+1)
-			} else {
-				prefix := make([]int32, 0, depth+1)
-				coord.inSet.ForEach(func(j int) { prefix = append(prefix, int32(j)) })
-				tasks = append(tasks, prefix)
-			}
-			coord.pop(i)
-		}
-	}
-	expand(-1, 0)
-	coord.release()
-
-	r.SearchNodes += coord.nodes
-	r.CostEvals += coord.costEvals
-	r.DedupHits += coord.dedupHits
-	r.BoundUpdates += coord.boundUps
+	coord.search(-1, 0, nodeIn{rec: r.EmptyCost, recorded: true})
+	r.add(coord)
+	tasks := coord.tasks
 
 	if coord.stop != nil || len(tasks) == 0 {
 		return coord.snapshot(), []error{coord.stop}
@@ -104,7 +64,9 @@ func (s *searcher) runParallel(r *Result, budget *resilience.Budget) (*incumbent
 
 	// Per-task result slots, written by whichever worker ran the task
 	// (disjoint indices, no locks) and reduced in task-rank order after
-	// the join, so the reduction itself is schedule-free.
+	// the join, so the reduction itself is schedule-free. Each worker
+	// owns its walker and evaluators; nothing but the immutable tables
+	// and the live incumbent is shared.
 	stops := make([]error, len(tasks)+1)
 	stops[0] = coord.stop
 	taskBest := make([]*incumbent, len(tasks))
@@ -112,13 +74,13 @@ func (s *searcher) runParallel(r *Result, budget *resilience.Budget) (*incumbent
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
-		w := s.newWalker(int32(wi), nil, live, true)
+		w := s.newWalker(nil, live, true)
+		w.evs[0] = eval.Clone()
 		w.seedFrom(frozen)
 		walkers[wi] = w
 		wg.Add(1)
 		go func(w *walker) {
 			defer wg.Done()
-			defer w.release()
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(tasks) {
@@ -135,11 +97,11 @@ func (s *searcher) runParallel(r *Result, budget *resilience.Budget) (*incumbent
 					w.seedFrom(frozen)
 				}
 				w.stop = nil
-				prefix := tasks[t]
+				prefix := tasks[t].prefix
 				for _, i := range prefix {
 					w.push(int(i))
 				}
-				w.search(int(prefix[len(prefix)-1]))
+				w.search(int(prefix[len(prefix)-1]), 0, tasks[t].in)
 				for k := len(prefix) - 1; k >= 0; k-- {
 					w.pop(int(prefix[k]))
 				}
@@ -151,11 +113,7 @@ func (s *searcher) runParallel(r *Result, budget *resilience.Budget) (*incumbent
 	wg.Wait()
 
 	for _, w := range walkers {
-		r.SearchNodes += w.nodes
-		r.CostEvals += w.costEvals
-		r.DedupHits += w.dedupHits
-		r.MemoShardHits += w.crossHits
-		r.BoundUpdates += w.boundUps
+		r.add(w)
 	}
 
 	best := frozen

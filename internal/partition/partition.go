@@ -105,9 +105,6 @@ func (c Closure) Size() int { return closureSize(ir.NewSizeCache(), c.Move, c.Co
 
 // Result is the outcome of the optimal-partition search for one loop.
 type Result struct {
-	Graph *depgraph.Graph
-	Model *cost.Model
-
 	Skipped   bool // too many violation candidates
 	VCCount   int
 	BodySize  int
@@ -136,25 +133,32 @@ type Result struct {
 	DegradeReason resilience.Reason
 
 	SearchNodes int
-	// CostEvals counts cost-model propagations actually performed;
-	// DedupHits counts evaluations answered from the interned zero-set
-	// table without propagating. Recomputes counts the dirty nodes the
-	// incremental evaluator recomputed across those propagations.
+	// CostEvals counts zero-sets propagated through an incremental
+	// cost.Evaluator; DedupHits counts lower bounds reused, bit for bit,
+	// from the parent's bound or the node's own record instead.
+	// Recomputes counts the dirty nodes the evaluators recomputed across
+	// those propagations.
 	CostEvals  int
 	DedupHits  int
 	Recomputes int
 
 	// Workers echoes Options.Workers. BoundUpdates counts incumbent
 	// improvements across all walkers (how often the shared bound
-	// tightened); MemoShardHits counts zero-set lookups answered from an
-	// entry another worker propagated — the cross-worker sharing the
-	// concurrent memo exists for (0 in the serial search). With Workers
-	// >= 2, CostEvals/DedupHits/MemoShardHits depend on scheduling (two
-	// workers may race to propagate one set); SearchNodes and the
-	// partition itself do not as long as a node budget is set.
-	Workers       int
-	BoundUpdates  int
-	MemoShardHits int
+	// tightened). Under a node budget, SearchNodes, CostEvals,
+	// DedupHits, BoundUpdates and the partition are the same at every
+	// Workers >= 1; Recomputes depends on which worker ran which
+	// subtree.
+	Workers      int
+	BoundUpdates int
+}
+
+// add accumulates a finished walker's work counters.
+func (r *Result) add(w *walker) {
+	r.SearchNodes += w.nodes
+	r.CostEvals += w.costEvals
+	r.DedupHits += w.dedupHits
+	r.BoundUpdates += w.boundUps
+	r.Recomputes += w.recomputes()
 }
 
 // String summarizes the result.
@@ -306,10 +310,11 @@ func vcDepGraph(g *depgraph.Graph) map[*ir.Stmt][]*ir.Stmt {
 // The search works entirely on dense indices: statements are numbered by
 // g.Order, closures and the current move/copy-cond sets are bitsets over
 // those indices, violation-candidate sets are bitsets over the cost
-// model's pseudo ordinals, and every cost query goes through an interned
-// zero-set table backed by the incremental cost.Evaluator, so the §4.2.3
-// propagation runs once per distinct downward-closed set instead of once
-// per search node.
+// model's pseudo ordinals, and every cost query goes to an incremental
+// cost.Evaluator owned by the walker that asks, so each §4.2.3
+// propagation recomputes only what changed since that evaluator's last
+// set. Lower bounds are carried down the tree and reused where the
+// bound set provably repeats (see walker.lowerBound).
 //
 // Search is an anytime algorithm: every node charges one work unit
 // against the phase budget (Options.MaxSearchNodes and the
@@ -326,8 +331,6 @@ func vcDepGraph(g *depgraph.Graph) map[*ir.Stmt][]*ir.Stmt {
 // parallel; see Options.Workers for the determinism contract.
 func Search(g *depgraph.Graph, m *cost.Model, opt Options) *Result {
 	r := &Result{
-		Graph:     g,
-		Model:     m,
 		VCCount:   len(g.VCs),
 		BodySize:  g.Loop.BodySize(),
 		Move:      make(map[*ir.Stmt]bool),
@@ -358,23 +361,15 @@ func Search(g *depgraph.Graph, m *cost.Model, opt Options) *Result {
 	}
 
 	s := &searcher{g: g, m: m, opt: opt}
-	s.pool = m.NewEvaluatorPool()
-	// Parallelize only when asked and when the subset tree is big enough
-	// to have a frontier; the serial and parallel paths return the same
-	// Result either way, so this is purely a fan-out decision.
-	parallel := opt.Workers >= 1 && len(g.VCs) > 1 && stop == nil
-	s.memo = newZeroMemo(parallel)
-
-	eval := s.pool.Get()
+	// The evaluator of the empty partition becomes the first walker's
+	// record evaluator, already at the empty zero-set.
+	eval := m.NewEvaluator()
 	s.nVC = eval.NumVCs()
-	emptyZero := bitset.New(s.nVC)
-	r.EmptyCost, _, _ = s.memo.eval(emptyZero, eval, -1)
+	r.EmptyCost = eval.EvalSet(bitset.New(s.nVC))
 	r.CostEvals++
 
 	if opt.MaxVCs > 0 && len(g.VCs) > opt.MaxVCs {
 		r.Skipped = true
-		s.pool.Put(eval)
-		r.Recomputes = s.pool.Recomputes()
 		return r
 	}
 	if stop != nil {
@@ -383,20 +378,20 @@ func Search(g *depgraph.Graph, m *cost.Model, opt Options) *Result {
 		r.Cost = r.EmptyCost
 		r.Degraded = true
 		r.DegradeReason = resilience.ReasonFor(stop)
-		s.pool.Put(eval)
-		r.Recomputes = s.pool.Recomputes()
 		return r
 	}
 
 	s.precompute(eval)
-	s.pool.Put(eval)
 
+	// Parallelize only when asked and when the subset tree is big enough
+	// to have a frontier; the serial and parallel paths return the same
+	// partition either way, so this is purely a fan-out decision.
 	var best *incumbent
 	var stops []error
-	if parallel {
-		best, stops = s.runParallel(r, budget)
+	if opt.Workers >= 1 && len(g.VCs) > 1 {
+		best, stops = s.runParallel(r, budget, eval)
 	} else {
-		best, stops = s.runSerial(r, budget)
+		best, stops = s.runSerial(r, budget, eval)
 	}
 
 	for _, err := range stops {
@@ -413,7 +408,6 @@ func Search(g *depgraph.Graph, m *cost.Model, opt Options) *Result {
 	best.vcs.ForEach(func(i int) { r.PreForkVCs = append(r.PreForkVCs, s.vcs[i]) })
 	best.move.ForEach(func(si int) { r.Move[g.Stmts[si]] = true })
 	best.conds.ForEach(func(si int) { r.CopyConds[g.Stmts[si]] = true })
-	r.Recomputes = s.pool.Recomputes()
 	return r
 }
 
@@ -504,18 +498,14 @@ func (s *searcher) bodySize() int {
 
 // runSerial is the classic depth-first branch-and-bound on the calling
 // goroutine. A caller-shared Options.Budget is charged sequentially,
-// preserving the exact legacy exhaustion points.
-func (s *searcher) runSerial(r *Result, budget *resilience.Budget) (*incumbent, []error) {
-	w := s.newWalker(-1, budget, false, false)
+// preserving the exact legacy exhaustion points. The root inherits the
+// empty partition's cost as its record, which is also the incumbent it
+// starts from.
+func (s *searcher) runSerial(r *Result, budget *resilience.Budget, eval *cost.Evaluator) (*incumbent, []error) {
+	w := s.newWalker(budget, false, false)
+	w.evs[0] = eval
 	w.seedEmpty(r.EmptyCost)
-	w.record() // empty partition: the always-legal serial fallback
-	w.search(-1)
-	w.release()
-
-	r.SearchNodes += w.nodes
-	r.CostEvals += w.costEvals
-	r.DedupHits += w.dedupHits
-	r.MemoShardHits += w.crossHits
-	r.BoundUpdates += w.boundUps
+	w.search(-1, 0, nodeIn{rec: r.EmptyCost, recorded: true})
+	r.add(w)
 	return w.snapshot(), []error{w.stop}
 }

@@ -20,9 +20,8 @@ const eps = 1e-12
 
 // searcher holds everything about one Search call that is immutable once
 // the precomputation is done, shared read-only by every walker: the
-// dense closure/legality/suffix tables, the interned zero-set memo, the
-// evaluator pool, and (in live-bound mode) the CAS-published shared
-// incumbent.
+// dense closure/legality/suffix tables and (in live-bound mode) the
+// CAS-published shared incumbent.
 type searcher struct {
 	g   *depgraph.Graph
 	m   *cost.Model
@@ -42,8 +41,6 @@ type searcher struct {
 	predBits   []bitset.Set // per-VC legality predecessors over VC indices
 	suffixZero []bitset.Set // zeroed ordinals of closures of vcs[i..]
 
-	memo   *zeroMemo
-	pool   *cost.EvaluatorPool
 	shared atomic.Pointer[incumbent] // live-bound mode's global incumbent
 }
 
@@ -75,13 +72,20 @@ func incBetter(a, b *incumbent) bool {
 // walker is the mutable depth-first state of one explorer of the subset
 // tree: the serial search, the parallel frontier coordinator, or a
 // worker goroutine draining subtree tasks. All walkers of one Search
-// share the searcher's immutable tables and memo; everything here is
-// private to one goroutine.
+// share the searcher's immutable tables; everything here, the
+// incremental evaluators included, is private to one goroutine.
 type walker struct {
 	s      *searcher
-	id     int32 // memo owner (-1: serial/coordinator, else worker index)
-	eval   *cost.Evaluator
 	budget *resilience.Budget
+
+	// evs are the walker's incremental evaluators: evs[0] for sets
+	// without the last candidate vcs[n-1], evs[1] for sets holding it.
+	// The depth-first order toggles vcs[n-1] on about half of all
+	// records; splitting on it leaves each evaluator with low-order
+	// changes only. A lower bound adds every closure after the node's
+	// last candidate, so its set holds vcs[n-1]'s closure too. evs[0] is set when
+	// the walker is made, evs[1] on first use.
+	evs [2]*cost.Evaluator
 
 	inSet     bitset.Set // VC indices in the pre-fork set
 	curMove   bitset.Set
@@ -111,20 +115,42 @@ type walker struct {
 	// — cutting there could discard the rank winner.
 	strict bool
 
+	// frontier, when positive, makes the walker the parallel search's
+	// coordinator: nodes at this depth are queued as tasks instead of
+	// descended into.
+	frontier int
+	tasks    []task
+
 	stop error
 
 	nodes     int
 	costEvals int
 	dedupHits int
-	crossHits int
 	boundUps  int
 }
 
-func (s *searcher) newWalker(id int32, budget *resilience.Budget, live, strict bool) *walker {
+// nodeIn is what a search node inherits from the step that created it,
+// so its lower bound can often be reused instead of evaluated: the
+// parent's last candidate index and lower bound, and the cost of the
+// node's own set when the parent recorded it.
+type nodeIn struct {
+	parentLast int
+	parentLB   float64
+	hasLB      bool // false at the root, which has no parent
+	rec        float64
+	recorded   bool
+}
+
+// task is a subtree the frontier coordinator queued: the pre-fork set
+// at its root, ascending, and what the root inherits.
+type task struct {
+	prefix []int32
+	in     nodeIn
+}
+
+func (s *searcher) newWalker(budget *resilience.Budget, live, strict bool) *walker {
 	return &walker{
 		s:      s,
-		id:     id,
-		eval:   s.pool.Get(),
 		budget: budget,
 
 		inSet:     bitset.New(s.n),
@@ -143,9 +169,6 @@ func (s *searcher) newWalker(id int32, budget *resilience.Budget, live, strict b
 		strict: strict,
 	}
 }
-
-// release returns the walker's evaluator to the pool.
-func (w *walker) release() { w.s.pool.Put(w.eval) }
 
 // seedEmpty initializes the incumbent to the serial fallback: the empty
 // pre-fork partition (always legal, size 0).
@@ -171,35 +194,44 @@ func (w *walker) snapshot() *incumbent {
 	}
 }
 
-func (w *walker) evalZero(zero bitset.Set) float64 {
-	c, hit, cross := w.s.memo.eval(zero, w.eval, w.id)
-	if hit {
-		w.dedupHits++
-		if cross {
-			w.crossHits++
+// evalOn propagates the zero-set on evs[1] when the set holds vcs[n-1]
+// (last) and on evs[0] otherwise. evs[1] starts as a clone of evs[0]'s
+// current state, so a search that never needs it pays nothing for it.
+// Evaluations of one zero-set are bit-identical whatever the evaluator
+// and its history, so the choice only decides how much of the
+// propagation is recomputed.
+func (w *walker) evalOn(last bool, zero bitset.Set) float64 {
+	e := w.evs[0]
+	if last {
+		if w.evs[1] == nil {
+			w.evs[1] = e.Clone()
 		}
-	} else {
-		w.costEvals++
+		e = w.evs[1]
 	}
-	return c
+	w.costEvals++
+	return e.EvalSet(zero)
 }
 
-// record evaluates the current partition and takes it as the incumbent
-// when it precedes the current one in (cost, size, rank) order. Live
-// walkers additionally CAS-publish improvements to the shared incumbent
-// so every worker prunes against the global best.
-func (w *walker) record() {
-	c := w.evalZero(w.curZero)
-	if c != w.bestCost {
-		if c > w.bestCost {
-			return
+// recomputes sums the dirty-node recomputes of the walker's evaluators.
+func (w *walker) recomputes() int {
+	n := 0
+	for _, e := range w.evs {
+		if e != nil {
+			n += e.Recomputes()
 		}
-	} else if w.curSize != w.bestSize {
-		if w.curSize > w.bestSize {
-			return
-		}
-	} else if !w.inSet.SeqLess(w.bestVCs) {
-		return
+	}
+	return n
+}
+
+// record evaluates the current partition, takes it as the incumbent
+// when it precedes the current one in (cost, size, rank) order, and
+// returns its cost. Live walkers additionally CAS-publish improvements
+// to the shared incumbent so every worker prunes against the global
+// best.
+func (w *walker) record() float64 {
+	c := w.evalOn(w.inSet.Has(w.s.n-1), w.curZero)
+	if !w.precedes(c) {
+		return c
 	}
 	w.bestCost = c
 	w.bestSize = w.curSize
@@ -210,6 +242,19 @@ func (w *walker) record() {
 	if w.live {
 		w.publish()
 	}
+	return c
+}
+
+// precedes reports whether the current partition, at cost c, precedes
+// the local incumbent in (cost, size, rank) order.
+func (w *walker) precedes(c float64) bool {
+	if c != w.bestCost {
+		return c < w.bestCost
+	}
+	if w.curSize != w.bestSize {
+		return w.curSize < w.bestSize
+	}
+	return w.inSet.SeqLess(w.bestVCs)
 }
 
 // publish CAS-loops the walker's incumbent into the shared slot,
@@ -227,23 +272,44 @@ func (w *walker) publish() {
 	}
 }
 
-// boundCut implements heuristic 2 (§5.2), extended so that it never cuts
-// a subtree that could still win the documented (cost, size, rank)
-// tie-break: the optimistic lower bound (every remaining closure
-// applied) is compared against the incumbent, and a subtree whose bound
-// ties the incumbent cost is only cut when its pre-fork size already
-// ties or exceeds the incumbent's — size is monotone along a descent, so
-// everything below would lose the size tie-break (or, at equal size for
-// non-strict walkers, the rank tie-break). This is what makes bound
-// pruning preserve the full tie-break, which the pre-dense-index search
-// did not.
-func (w *walker) boundCut(lastIdx int) bool {
-	if !w.s.opt.PruneBound {
-		return false
-	}
+// lowerBound is heuristic 2's optimistic cost (§5.2) of the subtree
+// below the current set: the cost with every closure after lastIdx
+// applied as well. Two cases reuse a cost already known, bit for bit,
+// and count as dedup hits:
+//
+//   - every closure after lastIdx is already in the set, so the bound
+//     set is the set the parent just recorded;
+//   - the bound set is the parent's. It is always a subset of the
+//     parent's (the node adds closure(lastIdx) ⊆ suffixZero[p+1], where
+//     p is the parent's last candidate), and it is equal exactly when
+//     it covers suffixZero[p+1] — always so when lastIdx = p+1, as
+//     closure(p+1) ∪ suffixZero[p+2] = suffixZero[p+1].
+//
+// Otherwise the bound set is propagated.
+func (w *walker) lowerBound(lastIdx int, in nodeIn) float64 {
 	w.boundZero.CopyFrom(w.curZero)
 	w.boundZero.Or(w.s.suffixZero[lastIdx+1])
-	lb := w.evalZero(w.boundZero)
+	switch {
+	case in.recorded && w.boundZero.Equal(w.curZero):
+		w.dedupHits++
+		return in.rec
+	case in.hasLB && w.s.suffixZero[in.parentLast+1].SubsetOf(w.boundZero):
+		w.dedupHits++
+		return in.parentLB
+	}
+	return w.evalOn(true, w.boundZero)
+}
+
+// boundCut implements heuristic 2 (§5.2), extended so that it never cuts
+// a subtree that could still win the documented (cost, size, rank)
+// tie-break: the optimistic lower bound lb is compared against the
+// incumbent, and a subtree whose bound ties the incumbent cost is only
+// cut when its pre-fork size already ties or exceeds the incumbent's —
+// size is monotone along a descent, so everything below would lose the
+// size tie-break (or, at equal size for non-strict walkers, the rank
+// tie-break). This is what makes bound pruning preserve the full
+// tie-break, which the pre-dense-index search did not.
+func (w *walker) boundCut(lb float64) bool {
 	bc, bs := w.bestCost, w.bestSize
 	if w.live {
 		if inc := w.s.shared.Load(); inc != nil {
@@ -331,9 +397,11 @@ func (w *walker) pop(i int) {
 }
 
 // search explores the subtree below the current set, extending it with
-// candidates after lastIdx. Every invocation charges one work unit
-// against the walker's budget; exhaustion sets w.stop and unwinds.
-func (w *walker) search(lastIdx int) {
+// candidates after lastIdx; depth counts the candidates added since the
+// walker's root and in is what this node inherits from its parent.
+// Every invocation charges one work unit against the walker's budget;
+// exhaustion sets w.stop and unwinds.
+func (w *walker) search(lastIdx, depth int, in nodeIn) {
 	if w.stop != nil {
 		return
 	}
@@ -343,8 +411,12 @@ func (w *walker) search(lastIdx int) {
 	}
 	w.nodes++
 
-	if w.boundCut(lastIdx) {
-		return
+	var lb float64
+	if w.s.opt.PruneBound {
+		lb = w.lowerBound(lastIdx, in)
+		if w.boundCut(lb) {
+			return
+		}
 	}
 
 	for i := lastIdx + 1; i < w.s.n && w.stop == nil; i++ {
@@ -356,10 +428,19 @@ func (w *walker) search(lastIdx int) {
 			w.pop(i)
 			continue // heuristic 1: descendants only grow
 		}
+		child := nodeIn{parentLast: lastIdx, parentLB: lb, hasLB: true}
 		if w.curSize <= w.s.sizeLimit {
-			w.record()
+			child.rec, child.recorded = w.record(), true
 		}
-		w.search(i)
+		if depth+1 == w.frontier {
+			// A task's root node is charged and bound-checked by the
+			// worker that runs it, exactly as this recursion would.
+			prefix := make([]int32, 0, depth+1)
+			w.inSet.ForEach(func(j int) { prefix = append(prefix, int32(j)) })
+			w.tasks = append(w.tasks, task{prefix: prefix, in: child})
+		} else {
+			w.search(i, depth+1, child)
+		}
 		w.pop(i)
 	}
 }

@@ -5,7 +5,7 @@ package partition_test
 // same partition as the serial search — same Move/CopyConds/Cost, same
 // pre-fork VCs — and, under a node budget (frozen-incumbent mode), the
 // same SearchNodes and degradation decision. Run under -race in CI, the
-// same sweep also exercises the sharded memo, the CAS-published
+// same sweep also exercises the per-worker evaluators, the CAS-published
 // incumbent, and the atomic budget for data races.
 
 import (
@@ -169,7 +169,7 @@ func TestWorkersAnytime(t *testing.T) {
 
 // TestWorkersRepeatable: the same (graph, budget, workers) triple gives
 // the same answer on every run — the parallel search has no hidden
-// scheduling dependence even while racing goroutines share the memo.
+// scheduling dependence even while goroutines share the live incumbent.
 func TestWorkersRepeatable(t *testing.T) {
 	graphs, models := workerCorpus(t)
 	for gi, g := range graphs {
@@ -205,19 +205,33 @@ func TestWorkersAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestWorkersMemoSharing: on a wide fan the sharded memo actually
-// shares propagations across workers (cross-worker hits show up in
-// MemoShardHits) without changing the result.
-func TestWorkersMemoSharing(t *testing.T) {
+// TestWorkersCountersInvariant: every walker owns its evaluators and
+// nothing else is shared, so under a node budget the work counters —
+// not only the partition and SearchNodes — are the same at every worker
+// count: each subtree task evaluates and reuses the same sets, and
+// improves on the frozen incumbent as often, whichever worker runs it.
+// Only Recomputes depends on which worker ran which task.
+func TestWorkersCountersInvariant(t *testing.T) {
 	gs, ms := mainLoopGraphs(t, wideVCSource(12))
-	opt := partition.DefaultOptions()
-	opt.Workers = 8
-	r := partition.Search(gs[0], ms[0], opt)
 	serial := partition.Search(gs[0], ms[0], partition.DefaultOptions())
-	sameResult(t, "wide fan", serial, r)
-	if serial.MemoShardHits != 0 {
-		t.Errorf("serial search reports %d memo shard hits, want 0", serial.MemoShardHits)
+	var first *partition.Result
+	for _, workers := range []int{1, 2, 8} {
+		opt := partition.DefaultOptions()
+		opt.Workers = workers
+		r := partition.Search(gs[0], ms[0], opt)
+		label := fmt.Sprintf("wide fan workers %d", workers)
+		sameResult(t, label, serial, r)
+		t.Logf("%s: nodes=%d evals=%d dedup=%d recomputes=%d bound-updates=%d",
+			label, r.SearchNodes, r.CostEvals, r.DedupHits, r.Recomputes, r.BoundUpdates)
+		if first == nil {
+			first = r
+			continue
+		}
+		if r.SearchNodes != first.SearchNodes || r.CostEvals != first.CostEvals ||
+			r.DedupHits != first.DedupHits || r.BoundUpdates != first.BoundUpdates {
+			t.Errorf("%s: nodes/evals/dedup/bound-updates %d/%d/%d/%d, want %d/%d/%d/%d", label,
+				r.SearchNodes, r.CostEvals, r.DedupHits, r.BoundUpdates,
+				first.SearchNodes, first.CostEvals, first.DedupHits, first.BoundUpdates)
+		}
 	}
-	t.Logf("workers=8: nodes=%d evals=%d dedup=%d shard-hits=%d bound-updates=%d",
-		r.SearchNodes, r.CostEvals, r.DedupHits, r.MemoShardHits, r.BoundUpdates)
 }

@@ -27,7 +27,7 @@ import (
 // RespFormatVersion is folded into every cache key: bumping it after a
 // response-schema change invalidates persisted entries instead of
 // serving stale shapes.
-const RespFormatVersion = 1
+const RespFormatVersion = 2
 
 // ReqOptions are the result-affecting compilation knobs a client may
 // set. Deliberately absent: SearchWorkers, which is pinned
@@ -90,9 +90,11 @@ type LoopReport struct {
 // Counters is the deterministic per-request work accounting, read back
 // from the request's trace spans (CountersFromTrack); the evaluation
 // harness's per-job Metrics are built from it. With serial pass 1 (the
-// daemon default) every field is deterministic; with SearchWorkers >= 2
-// the CostEvals/DedupHits/MemoShardHits triple is scheduling-dependent
-// (see partition.Options).
+// daemon default) every field is deterministic. Every partition-search
+// walker owns its cost evaluators and shares no table, so with
+// SearchWorkers >= 1 under a node budget SearchNodes, CostEvals and
+// DedupHits stay the same at every worker count; only Recomputes
+// depends on scheduling (see partition.Result).
 type Counters struct {
 	SearchNodes     int64 `json:"search_nodes"`
 	CostEvals       int64 `json:"cost_evals"`
@@ -100,7 +102,6 @@ type Counters struct {
 	Recomputes      int64 `json:"recomputes"`
 	SearchWorkers   int64 `json:"search_workers,omitempty"`
 	BoundUpdates    int64 `json:"bound_updates"`
-	MemoShardHits   int64 `json:"memo_shard_hits"`
 	IncrHits        int64 `json:"incr_hits,omitempty"`
 	IncrMisses      int64 `json:"incr_misses,omitempty"`
 	IncrInvalidated int64 `json:"incr_invalidated,omitempty"`
@@ -352,7 +353,6 @@ func CountersFromTrack(tk *trace.Track) Counters {
 		DedupHits:       tk.SumInt("loop", "dedup_hits"),
 		Recomputes:      tk.SumInt("loop", "recomputes"),
 		BoundUpdates:    tk.SumInt("loop", "bound_updates"),
-		MemoShardHits:   tk.SumInt("loop", "memo_shard_hits"),
 		Degraded:        tk.SumInt("pass1", "degraded") + tk.SumInt("transform", "degraded"),
 		IncrHits:        tk.SumInt("pass1", "incr_hits"),
 		IncrMisses:      tk.SumInt("pass1", "incr_misses"),
