@@ -1,16 +1,11 @@
-// Package bitset provides fixed-capacity dense bitsets and an interning
-// table. The partition search and the cost model use them to represent
-// statement sets and downward-closed violation-candidate sets as []uint64
-// words instead of pointer-keyed maps: set algebra becomes word-parallel,
-// copies become memcpy, and identical sets share one canonical identity
-// through the Interner, so work keyed on a set (cost evaluation, size
-// computation) is done once per distinct set rather than once per visit.
+// Package bitset provides fixed-capacity dense bitsets. The partition
+// search and the cost model use them to represent statement sets,
+// violation-candidate sets and the evaluator's dirty worklist as []uint64
+// words instead of pointer-keyed maps: set algebra becomes word-parallel
+// and copies become memcpy.
 package bitset
 
-import (
-	"math/bits"
-	"unsafe"
-)
+import "math/bits"
 
 // Set is a fixed-capacity bitset. The zero value of a word-slice is a
 // valid empty set of capacity 64*len(words).
@@ -131,62 +126,3 @@ func (s Set) SeqLess(t Set) bool {
 	}
 	return false
 }
-
-// Key returns the set's content as a string usable as a map key. The
-// returned string aliases no live memory of s (strings are immutable
-// copies).
-func (s Set) Key() string {
-	if len(s) == 0 {
-		return ""
-	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-	return string(b)
-}
-
-// KeyView returns the set's content as a string header aliasing s's
-// memory — no copy, no allocation. Only valid for transient use (a map
-// lookup) while s is unmodified; use Key for keys that are stored.
-func (s Set) KeyView() string {
-	if len(s) == 0 {
-		return ""
-	}
-	return unsafe.String((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-// Interner deduplicates sets: Intern returns a stable small integer ID
-// per distinct set content, assigning IDs densely from 0 in first-seen
-// order. The interned copy is owned by the table.
-type Interner struct {
-	ids  map[string]int
-	sets []Set
-}
-
-// NewInterner returns an empty table.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]int)}
-}
-
-// Intern returns the canonical ID for the set's content and whether this
-// content was seen before. The argument is copied on first sight and may
-// be reused by the caller.
-func (t *Interner) Intern(s Set) (id int, seen bool) {
-	if id, ok := t.ids[s.KeyView()]; ok {
-		return id, true
-	}
-	id = len(t.sets)
-	t.ids[s.Key()] = id
-	t.sets = append(t.sets, s.Clone())
-	return id, false
-}
-
-// Lookup returns the ID of a previously interned set without allocating.
-func (t *Interner) Lookup(s Set) (id int, ok bool) {
-	id, ok = t.ids[s.KeyView()]
-	return id, ok
-}
-
-// Len returns the number of distinct sets interned.
-func (t *Interner) Len() int { return len(t.sets) }
-
-// Get returns the canonical set for an ID.
-func (t *Interner) Get(id int) Set { return t.sets[id] }

@@ -81,42 +81,3 @@ func TestAgainstMap(t *testing.T) {
 		}
 	}
 }
-
-func TestInterner(t *testing.T) {
-	in := NewInterner()
-	a := New(100)
-	a.Add(5)
-	id0, seen := in.Intern(a)
-	if seen || id0 != 0 {
-		t.Fatalf("first intern: id=%d seen=%v", id0, seen)
-	}
-	// Mutating the caller's set must not affect the interned copy.
-	a.Add(6)
-	id1, seen := in.Intern(a)
-	if seen || id1 != 1 {
-		t.Fatalf("second intern: id=%d seen=%v", id1, seen)
-	}
-	b := New(100)
-	b.Add(5)
-	if id, seen := in.Intern(b); !seen || id != id0 {
-		t.Fatalf("re-intern: id=%d seen=%v", id, seen)
-	}
-	if in.Len() != 2 || !in.Get(0).Has(5) || in.Get(0).Has(6) {
-		t.Fatalf("interned copies corrupted")
-	}
-}
-
-func TestKeyEmpty(t *testing.T) {
-	if New(0).Key() != "" {
-		t.Fatal("empty set key")
-	}
-	a, b := New(64), New(64)
-	a.Add(1)
-	if a.Key() == b.Key() {
-		t.Fatal("distinct sets share a key")
-	}
-	b.Add(1)
-	if a.Key() != b.Key() {
-		t.Fatal("equal sets differ in key")
-	}
-}

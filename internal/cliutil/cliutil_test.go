@@ -209,7 +209,7 @@ func TestIncrOpenFailSoft(t *testing.T) {
 		"corrupt-content": {
 			func(t *testing.T, dir string) string {
 				p := filepath.Join(dir, "c.bin")
-				if err := os.WriteFile(p, []byte("sptincr2 then garbage bytes"), 0o666); err != nil {
+				if err := os.WriteFile(p, []byte("sptincr3 then garbage bytes"), 0o666); err != nil {
 					t.Fatal(err)
 				}
 				return p

@@ -16,40 +16,48 @@ import (
 // evaluations of one model:
 //
 //   - the topological order (the model's node order, fixed at Build);
-//   - dense forward in-edge arrays per node (edges from later nodes
+//   - dense forward in-edge arrays per dynamic node (edges from later nodes
 //     contribute a factor of exactly 1 in Evaluate and are dropped);
-//   - the partition of operation nodes into *static* nodes — not
-//     reachable from any pseudo node, so their probability never changes
-//     — and *dynamic* nodes;
-//   - per-dynamic-node invariant factors: the product of (1 − r·v(p))
-//     over in-edges whose source is static.
+//   - the *dynamic* operation nodes, those reachable from a pseudo
+//     node, numbered by *position* in topological order, with successor
+//     lists as positions. Every other operation node has probability 0
+//     under any zero-set (its inputs are such nodes too), so it adds
+//     nothing to the cost and a factor of exactly 1 to its consumers,
+//     and is left out.
 //
-// An evaluation then flips only the changed pseudo values and recomputes
-// only the dynamic nodes downstream of a change, in topological order.
-// Evaluations of the same zero-set are bit-identical regardless of the
-// sequence of preceding evaluations.
+// An evaluation flips only the changed pseudo values and recomputes only
+// the dynamic nodes downstream of a change: the pending ones are a
+// bitset over positions, drained lowest bit first, and every successor
+// sits at a later position, so one ascending pass is a topological
+// worklist. The dynamic part of the cost, Σ v·cost, lives in a
+// fixed-shape pairwise-sum tree over positions; a node whose value
+// changes rewrites its leaf, and the sums on the paths from the changed
+// leaves to the root are re-added once each. An evaluation therefore
+// costs time in the changed nodes, not in the size of the model, and
+// since every internal sum is left + right of its children's current
+// values, evaluations of the same zero-set are bit-identical regardless
+// of the sequence of preceding evaluations.
 type Evaluator struct {
-	m   *Model
 	nVC int
 
 	ordinalOf  map[*ir.Stmt]int // VC statement -> ordinal
 	pseudoNode []int32          // ordinal -> node index
 	baseProb   []float64        // ordinal -> violation probability when live
+	pseudoOuts [][]int32        // ordinal -> dynamic successor positions
 
-	cost   []float64 // node index -> cost
-	v      []float64 // node index -> current probability
-	outs   [][]int32 // node index -> dynamic successor node indices
-	dynPos []int32   // node index -> position in dynIdx, -1 otherwise
+	v []float64 // node index -> current probability
 
-	dynIdx    []int32   // dynamic op nodes in topological order
-	inFrom    [][]int32 // per dynamic position: dynamic in-edge sources
-	inProb    [][]float64
-	invariant []float64 // per dynamic position: static in-edge product
+	dynIdx  []int32   // position -> dynamic op node index
+	dynCost []float64 // position -> node cost
+	inFrom  [][]int32 // position -> dynamic or pseudo in-edge source nodes
+	inProb  [][]float64
+	outs    [][]int32 // position -> dynamic successor positions
 
-	cur        bitset.Set // current zeroed-VC set, by ordinal
-	dirty      []bool     // node index -> pending recompute
-	constTotal float64    // Σ v·cost over static op nodes
-	dynTotal   float64    // Σ v·cost over dynamic op nodes
+	cur   bitset.Set // current zeroed-VC set, by ordinal
+	dirty bitset.Set // positions pending recompute
+	sum   []float64  // pairwise-sum tree: sum[1] root, leaf of pos at leaf0+pos
+	leaf0 int
+	stale []int32 // scratch: tree nodes whose sums are out of date
 
 	recomputes int // dirty nodes actually recomputed across all evals
 }
@@ -60,23 +68,20 @@ type Evaluator struct {
 func (m *Model) NewEvaluator() *Evaluator {
 	n := len(m.Nodes)
 	e := &Evaluator{
-		m:         m,
 		ordinalOf: make(map[*ir.Stmt]int),
-		cost:      make([]float64, n),
 		v:         make([]float64, n),
-		outs:      make([][]int32, n),
-		dynPos:    make([]int32, n),
-		dirty:     make([]bool, n),
 	}
 
 	// Pseudo ordinals in node order; live violation probabilities.
+	ordOf := make([]int32, n) // node index -> ordinal, -1 for op nodes
 	for i, nd := range m.Nodes {
-		e.cost[i] = nd.Cost
+		ordOf[i] = -1
 		if !nd.Pseudo {
 			continue
 		}
 		ord := e.nVC
 		e.nVC++
+		ordOf[i] = int32(ord)
 		e.ordinalOf[nd.VC] = ord
 		e.pseudoNode = append(e.pseudoNode, int32(i))
 		p := nd.Cost // hand-built models store the violation prob here
@@ -86,99 +91,66 @@ func (m *Model) NewEvaluator() *Evaluator {
 		e.baseProb = append(e.baseProb, p)
 	}
 	e.cur = bitset.New(e.nVC)
+	e.pseudoOuts = make([][]int32, e.nVC)
 
-	// Forward in-edges only: Evaluate initializes v to 0 and walks nodes
-	// in order, so an edge from a node with ID >= the consumer's sees
-	// v = 0 and contributes a factor of exactly 1. Dropping those edges
-	// reproduces its semantics for defensive cycles too.
-	fwdIn := make([][]EdgeTo, n)
-	reach := make([]bool, n) // reachable from a pseudo node
+	// Dynamic nodes in topological order, with their forward in-edges
+	// from pseudo and dynamic nodes and successor positions. Evaluate
+	// initializes v to 0 and walks nodes in order, so an edge from a node
+	// with ID >= the consumer's sees v = 0 and contributes a factor of
+	// exactly 1, as does an edge from a node left out; dropping those
+	// edges reproduces its semantics for defensive cycles too.
+	dynPos := make([]int32, n) // node index -> position, -1 otherwise
 	for i, nd := range m.Nodes {
+		dynPos[i] = -1
 		if nd.Pseudo {
-			reach[i] = true
 			continue
 		}
+		var from []int32
+		var probs []float64
 		for _, ed := range nd.In {
-			if ed.From.ID < i {
-				fwdIn[i] = append(fwdIn[i], ed)
-				if reach[ed.From.ID] {
-					reach[i] = true
-				}
+			if src := ed.From.ID; src < i && (ordOf[src] >= 0 || dynPos[src] >= 0) {
+				from = append(from, int32(src))
+				probs = append(probs, ed.Prob)
 			}
 		}
-	}
-
-	// Dynamic nodes in topological order, with invariant factors and
-	// dense dynamic in-edges.
-	for i := range e.dynPos {
-		e.dynPos[i] = -1
-	}
-	for i, nd := range m.Nodes {
-		if nd.Pseudo || !reach[i] {
+		if len(from) == 0 {
 			continue
 		}
 		pos := int32(len(e.dynIdx))
-		e.dynPos[i] = pos
+		dynPos[i] = pos
 		e.dynIdx = append(e.dynIdx, int32(i))
-		var from []int32
-		var probs []float64
-		inv := 1.0
-		for _, ed := range fwdIn[i] {
-			src := int32(ed.From.ID)
-			if e.dynPos[src] >= 0 || m.Nodes[src].Pseudo {
-				from = append(from, src)
-				probs = append(probs, ed.Prob)
-			} else {
-				// Static source: its value is fixed for the lifetime of
-				// the evaluator; fold the factor in once.
-				inv *= 1 - ed.Prob*e.v[src]
-			}
-		}
+		e.dynCost = append(e.dynCost, nd.Cost)
 		e.inFrom = append(e.inFrom, from)
 		e.inProb = append(e.inProb, probs)
-		e.invariant = append(e.invariant, inv)
-		// Initialize the dynamic value below, after pseudo values are
-		// set; placeholder for now so static readers see 0.
-		_ = pos
-	}
-
-	// Static op nodes: compute their fixed values in topological order
-	// (their inputs are static too) and fold into the constant total.
-	for i, nd := range m.Nodes {
-		if nd.Pseudo || reach[i] {
-			continue
-		}
-		x := 0.0
-		for _, ed := range fwdIn[i] {
-			x = 1 - (1-x)*(1-ed.Prob*e.v[ed.From.ID])
-		}
-		e.v[i] = x
-		e.constTotal += x * nd.Cost
-	}
-
-	// Successor lists restricted to dynamic consumers.
-	for i := range m.Nodes {
-		if e.dynPos[i] < 0 {
-			continue
-		}
-		for _, src := range e.inFrom[e.dynPos[i]] {
-			e.outs[src] = append(e.outs[src], int32(i))
+		e.outs = append(e.outs, nil)
+		for _, src := range from {
+			if ord := ordOf[src]; ord >= 0 {
+				e.pseudoOuts[ord] = append(e.pseudoOuts[ord], pos)
+			} else {
+				e.outs[dynPos[src]] = append(e.outs[dynPos[src]], pos)
+			}
 		}
 	}
+	nDyn := len(e.dynIdx)
+	e.dirty = bitset.New(nDyn)
 
-	// Initial state: empty zero-set, every pseudo live.
+	// Initial state: empty zero-set, every pseudo live; leaves in
+	// position order, then every internal sum bottom-up.
 	for ord, ni := range e.pseudoNode {
 		e.v[ni] = e.baseProb[ord]
 	}
-	for _, ni := range e.dynIdx {
-		pos := e.dynPos[ni]
-		prod := e.invariant[pos]
-		for k, src := range e.inFrom[pos] {
-			prod *= 1 - e.inProb[pos][k]*e.v[src]
-		}
-		e.v[ni] = 1 - prod
+	e.leaf0 = 1
+	for e.leaf0 < nDyn {
+		e.leaf0 <<= 1
 	}
-	e.dynTotal = e.sumDynamic()
+	e.sum = make([]float64, 2*e.leaf0)
+	for pos, ni := range e.dynIdx {
+		e.v[ni] = 1 - e.product(pos)
+		e.sum[e.leaf0+pos] = e.v[ni] * e.dynCost[pos]
+	}
+	for i := e.leaf0 - 1; i >= 1; i-- {
+		e.sum[i] = e.sum[2*i] + e.sum[2*i+1]
+	}
 	return e
 }
 
@@ -191,7 +163,9 @@ func (e *Evaluator) Clone() *Evaluator {
 	c := *e
 	c.v = append([]float64(nil), e.v...)
 	c.cur = e.cur.Clone()
-	c.dirty = make([]bool, len(e.dirty))
+	c.sum = append([]float64(nil), e.sum...)
+	c.dirty = bitset.New(len(e.dynIdx))
+	c.stale = nil
 	c.recomputes = 0
 	return &c
 }
@@ -214,76 +188,84 @@ func (e *Evaluator) Ordinal(vc *ir.Stmt) int {
 // dirty-propagation win over from-scratch evaluation is observable.
 func (e *Evaluator) Recomputes() int { return e.recomputes }
 
-func (e *Evaluator) sumDynamic() float64 {
-	total := 0.0
-	for _, ni := range e.dynIdx {
-		total += e.v[ni] * e.cost[ni]
+// product returns Π(1 − r·v(p)) over the in-edges of the dynamic node at
+// pos.
+func (e *Evaluator) product(pos int) float64 {
+	prod := 1.0
+	probs := e.inProb[pos]
+	for k, src := range e.inFrom[pos] {
+		prod *= 1 - probs[k]*e.v[src]
 	}
-	return total
+	return prod
 }
 
 // EvalSet returns the misspeculation cost of the partition whose zeroed
 // violation candidates are given as a bitset over evaluator ordinals
 // (pre-fork candidates, plus optimistic may-move candidates for lower
 // bounds). Equivalent to Evaluate/EvaluateOptimistic up to floating-point
-// association order.
+// association order: the dynamic nodes are summed by the pairwise tree,
+// not left to right.
 func (e *Evaluator) EvalSet(zero bitset.Set) float64 {
-	nDyn := int32(len(e.dynIdx))
-	minPos := nDyn
 	for wi := range e.cur {
 		changed := e.cur[wi] ^ zero[wi]
 		e.cur[wi] = zero[wi]
 		for changed != 0 {
-			ord := wi<<6 | bits.TrailingZeros64(changed)
+			b := bits.TrailingZeros64(changed)
 			changed &= changed - 1
+			ord := wi<<6 | b
 			ni := e.pseudoNode[ord]
 			nv := e.baseProb[ord]
-			if zero.Has(ord) {
+			if zero[wi]&(1<<b) != 0 {
 				nv = 0
 			}
 			if nv == e.v[ni] {
 				continue
 			}
 			e.v[ni] = nv
-			for _, s := range e.outs[ni] {
-				if p := e.dynPos[s]; !e.dirty[s] {
-					e.dirty[s] = true
-					if p < minPos {
-						minPos = p
-					}
-				}
+			for _, p := range e.pseudoOuts[ord] {
+				e.dirty.Add(int(p))
 			}
 		}
 	}
-	if minPos == nDyn {
-		return e.constTotal + e.dynTotal
-	}
-	for pos := minPos; pos < nDyn; pos++ {
-		ni := e.dynIdx[pos]
-		if !e.dirty[ni] {
-			continue
-		}
-		e.dirty[ni] = false
-		e.recomputes++
-		prod := e.invariant[pos]
-		from := e.inFrom[pos]
-		probs := e.inProb[pos]
-		for k, src := range from {
-			prod *= 1 - probs[k]*e.v[src]
-		}
-		x := 1 - prod
-		if x == e.v[ni] {
-			continue
-		}
-		e.v[ni] = x
-		for _, s := range e.outs[ni] {
-			if !e.dirty[s] {
-				e.dirty[s] = true
+	// Successors sit at later positions, so bits they set in the current
+	// word are popped by this same loop, and changed leaves are found in
+	// ascending order.
+	stale := e.stale[:0]
+	for wi := range e.dirty {
+		for w := e.dirty[wi]; w != 0; w = e.dirty[wi] {
+			e.dirty[wi] = w & (w - 1)
+			pos := wi<<6 | bits.TrailingZeros64(w)
+			e.recomputes++
+			x := 1 - e.product(pos)
+			ni := e.dynIdx[pos]
+			if x == e.v[ni] {
+				continue
+			}
+			e.v[ni] = x
+			e.sum[e.leaf0+pos] = x * e.dynCost[pos]
+			stale = append(stale, int32(e.leaf0+pos))
+			for _, s := range e.outs[pos] {
+				e.dirty.Add(int(s))
 			}
 		}
 	}
-	// Re-sum rather than accumulate deltas: same zero-set, same cost,
-	// bit-for-bit, independent of evaluation history.
-	e.dynTotal = e.sumDynamic()
-	return e.constTotal + e.dynTotal
+	// Re-add the sums above the changed leaves one level at a time, each
+	// shared ancestor once: the parents of an ascending list are
+	// ascending, so duplicates are adjacent.
+	sum := e.sum
+	for len(stale) > 0 && stale[0] > 1 {
+		n := 0
+		for _, i := range stale {
+			p := i >> 1
+			if n > 0 && stale[n-1] == p {
+				continue
+			}
+			sum[p] = sum[2*p] + sum[2*p+1]
+			stale[n] = p
+			n++
+		}
+		stale = stale[:n]
+	}
+	e.stale = stale
+	return sum[1]
 }

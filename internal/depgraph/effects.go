@@ -59,7 +59,7 @@ func ComputeEffects(p *ir.Program) map[*ir.Func]*Effects {
 						setR(o.G)
 					case ir.OpCall:
 						if o.Builtin {
-							if o.Callee == "print" && !e.IO {
+							if o.Str == "print" && !e.IO {
 								e.IO = true
 								changed = true
 							}

@@ -561,7 +561,7 @@ func (g *Graph) buildMemoryEdges(cfg Config) {
 			if o.Kind != ir.OpCall || seenIO[s] {
 				return
 			}
-			if o.Builtin && o.Callee == "print" {
+			if o.Builtin && o.Str == "print" {
 				seenIO[s] = true
 			} else if !o.Builtin {
 				if eff := cfg.Effects[o.Func]; eff != nil && eff.IO {

@@ -534,7 +534,7 @@ func TestStoreMalformedRecordPayload(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "malformed.cache")
-			data := append([]byte("sptincr2"), record(c.payload)...)
+			data := append([]byte("sptincr3"), record(c.payload)...)
 			if err := os.WriteFile(path, data, 0o666); err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,7 @@ const (
 // loop-level result store and the service's whole-program response
 // cache. The file format is ninja build-log style:
 //
-//	header:  magic bytes (an 8-byte version tag, e.g. "sptincr2")
+//	header:  magic bytes (an 8-byte version tag, e.g. "sptincr3")
 //	record:  u32 payload length | payload | u64 FNV-1a(payload)
 //
 // Records append; payload interpretation (keys, last-record-wins) is the

@@ -6,11 +6,11 @@ import (
 
 // The loop-result store persists through a RecordLog (see log.go): an
 // append-only binary log of encoded (Key, Entry) records under the
-// "sptincr2" magic. Records append; the last record for a key wins.
+// "sptincr3" magic. Records append; the last record for a key wins.
 // Load salvages the longest valid prefix of a corrupt or truncated file
 // — a damaged store can cost warm hits but can never fail a build.
 
-const storeMagic = "sptincr2"
+const storeMagic = "sptincr3"
 
 // Status classifies one store lookup.
 type Status int

@@ -467,7 +467,7 @@ func (m *Machine) evalCall(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 		return m.evalBuiltin(fr, s, o)
 	}
 	if o.Func == nil {
-		return Value{}, fmt.Errorf("interp: call to unresolved function %s", o.Callee)
+		return Value{}, fmt.Errorf("interp: call to unresolved function %s", o.Str)
 	}
 	base, err := m.pushArgs(fr, s, o.Args)
 	if err != nil {
@@ -495,7 +495,7 @@ func (m *Machine) pushArgs(fr *Frame, s *ir.Stmt, args []*ir.Op) (int, error) {
 }
 
 func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
-	switch o.Callee {
+	switch o.Str {
 	case "print":
 		for i, a := range o.Args {
 			if i > 0 {
@@ -527,7 +527,7 @@ func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	// while the builtin reads them.
 	args := m.args[base:]
 	m.args = m.args[:base]
-	switch o.Callee {
+	switch o.Str {
 	case "fabs":
 		return FloatVal(math.Abs(args[0].F)), nil
 	case "fsqrt":
@@ -555,5 +555,5 @@ func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 		}
 		return args[1], nil
 	}
-	return Value{}, fmt.Errorf("interp: unknown builtin %s", o.Callee)
+	return Value{}, fmt.Errorf("interp: unknown builtin %s", o.Str)
 }

@@ -546,7 +546,7 @@ func (b *builder) buildExpr(e ast.Expr) *Op {
 		return o
 	case *ast.CallExpr:
 		o := b.f.NewOp(OpCall, ValVoid)
-		o.Callee = e.Name
+		o.Str = e.Name
 		if bi, ok := sem.Builtins[e.Name]; ok {
 			o.Builtin = true
 			o.Type = valKind(bi.Result)

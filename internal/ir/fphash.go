@@ -187,7 +187,7 @@ func (n *FPNorm) HashOp(h *FPHash, o *Op, globalIdx map[*Global]int) {
 		if o.Builtin {
 			// Builtin names are semantic (print vs sqrt); user function
 			// names are not — those hash by callee slot.
-			h.Str(o.Callee)
+			h.Str(o.Str)
 		} else {
 			h.Int(n.FuncSlot(o.Func))
 		}

@@ -20,7 +20,7 @@ import (
 )
 
 // ValKind is the runtime kind of a value.
-type ValKind int
+type ValKind uint8
 
 // Value kinds.
 const (
@@ -78,7 +78,7 @@ type Global struct {
 func (g *Global) IsArray() bool { return len(g.Dims) > 0 }
 
 // OpKind enumerates operation (Coderep) kinds.
-type OpKind int
+type OpKind uint8
 
 // Operation kinds.
 const (
@@ -96,7 +96,7 @@ const (
 )
 
 // BinOp enumerates binary operators at the IR level.
-type BinOp int
+type BinOp uint8
 
 // Binary operators.
 const (
@@ -131,7 +131,7 @@ func (b BinOp) String() string {
 }
 
 // UnOp enumerates unary operators.
-type UnOp int
+type UnOp uint8
 
 // Unary operators.
 const (
@@ -153,22 +153,24 @@ func (u UnOp) String() string {
 }
 
 // Op is one operation node in an expression tree (a Coderep).
+//
+// The one-byte fields sit together after ID, so an Op is 96 bytes: a
+// compiled program retains one per operation of every function.
 type Op struct {
-	ID   int // unique within the function
-	Kind OpKind
-	Type ValKind
-
-	ConstI  int64
-	ConstF  float64
-	Str     string // OpConstStr
-	Var     *Var   // OpUseVar
-	G       *Global
+	ID      int // unique within the function
+	Kind    OpKind
+	Type    ValKind
 	Bin     BinOp
 	Un      UnOp
-	Callee  string // function or builtin name for OpCall
-	Func    *Func  // resolved callee (nil for builtins)
-	Builtin bool
-	Args    []*Op
+	Builtin bool // OpCall of a builtin
+
+	ConstI int64
+	ConstF float64
+	Str    string // OpConstStr text; OpCall function or builtin name
+	Var    *Var   // OpUseVar
+	G      *Global
+	Func   *Func // resolved callee (nil for builtins)
+	Args   []*Op
 }
 
 // Walk visits o and all operations beneath it, parents first.
@@ -202,7 +204,7 @@ func (o *Op) HasCall() bool {
 }
 
 // StmtKind enumerates statement (Stmtrep) kinds.
-type StmtKind int
+type StmtKind uint8
 
 // Statement kinds.
 const (
@@ -511,7 +513,7 @@ func (f *Func) CloneOp(o *Op) *Op {
 	c.ConstI, c.ConstF, c.Str = o.ConstI, o.ConstF, o.Str
 	c.Var, c.G = o.Var, o.G
 	c.Bin, c.Un = o.Bin, o.Un
-	c.Callee, c.Func, c.Builtin = o.Callee, o.Func, o.Builtin
+	c.Func, c.Builtin = o.Func, o.Builtin
 	for _, a := range o.Args {
 		c.Args = append(c.Args, f.CloneOp(a))
 	}

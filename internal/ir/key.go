@@ -156,12 +156,18 @@ func (e *execKey) op(o *Op) {
 	e.int(int(o.Type))
 	e.i64(o.ConstI)
 	e.f64(o.ConstF)
-	e.str(o.Str)
+	// Str holds a constant's text or a call's name; each keeps its own
+	// slot in the key, with "" in the other.
+	text, callee := o.Str, ""
+	if o.Kind == OpCall {
+		text, callee = "", o.Str
+	}
+	e.str(text)
 	e.v(o.Var)
 	e.global(o.G)
 	e.int(int(o.Bin))
 	e.int(int(o.Un))
-	e.str(o.Callee)
+	e.str(callee)
 	if fn, ok := e.funcs[o.Func]; ok {
 		e.int(fn)
 	} else {

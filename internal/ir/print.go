@@ -53,7 +53,7 @@ func writeOp(b *strings.Builder, o *Op) {
 		writeOp(b, o.Args[0])
 		b.WriteByte(')')
 	case OpCall:
-		b.WriteString(o.Callee)
+		b.WriteString(o.Str)
 		b.WriteByte('(')
 		for i, a := range o.Args {
 			if i > 0 {

@@ -62,7 +62,6 @@ type opState struct {
 	g       *Global
 	bin     BinOp
 	un      UnOp
-	callee  string
 	fn      *Func
 	builtin bool
 	args    []*Op
@@ -113,7 +112,6 @@ func Snapshot(f *Func) *FuncSnapshot {
 			g:       o.G,
 			bin:     o.Bin,
 			un:      o.Un,
-			callee:  o.Callee,
 			fn:      o.Func,
 			builtin: o.Builtin,
 			args:    append([]*Op(nil), o.Args...),
@@ -205,7 +203,6 @@ func (sn *FuncSnapshot) Restore() {
 		o.G = os.g
 		o.Bin = os.bin
 		o.Un = os.un
-		o.Callee = os.callee
 		o.Func = os.fn
 		o.Builtin = os.builtin
 		o.Args = append(o.Args[:0:0], os.args...)

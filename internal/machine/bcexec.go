@@ -707,7 +707,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				}
 			default:
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
-				return execOutcome{}, fmt.Errorf("machine: unknown builtin %s", aux[pc].o.Callee)
+				return execOutcome{}, fmt.Errorf("machine: unknown builtin %s", aux[pc].o.Str)
 			}
 			sp -= n
 			vs[sp] = tval{v, tnt}

@@ -136,7 +136,7 @@ func calleeTaintLoop() (*ir.Program, machine.RunOptions) {
 	phi.PhiArgs = []*ir.Var{i0, i2}
 	b1.Stmts = []*ir.Stmt{phi, assign(i2, bin(ir.BinAdd, useVar(i1), constI(1))), f.NewStmt(ir.StmtFork)}
 	call := f.NewOp(ir.OpCall, ir.ValInt)
-	call.Callee, call.Func = "touch", touch
+	call.Str, call.Func = "touch", touch
 	v := newVar("v", ir.ValInt)
 	b1.Stmts = append(b1.Stmts, assign(v, call))
 	prev := v

@@ -856,7 +856,7 @@ func (lo *lowerer) lowerOp(st *ir.Stmt, o *ir.Op) {
 
 func (lo *lowerer) lowerCall(st *ir.Stmt, o *ir.Op) {
 	if o.Builtin {
-		if o.Callee == "print" {
+		if o.Str == "print" {
 			lo.emit(linstr{op: bcPrintBegin, cost: lo.cfg.PrintCost})
 			lo.stk(1)
 			for i, a := range o.Args {
@@ -878,7 +878,7 @@ func (lo *lowerer) lowerCall(st *ir.Stmt, o *ir.Op) {
 			lo.emit(linstr{op: bcPrintEnd})
 			return
 		}
-		kind, cost := builtinKind(lo.cfg, o.Callee)
+		kind, cost := builtinKind(lo.cfg, o.Str)
 		for _, a := range o.Args {
 			lo.lowerOp(st, a)
 		}
@@ -887,7 +887,7 @@ func (lo *lowerer) lowerCall(st *ir.Stmt, o *ir.Op) {
 		return
 	}
 	if o.Func == nil {
-		lo.emit(linstr{op: bcBad, str: fmt.Sprintf("machine: unresolved call %s", o.Callee)})
+		lo.emit(linstr{op: bcBad, str: fmt.Sprintf("machine: unresolved call %s", o.Str)})
 		lo.stk(1)
 		return
 	}

@@ -779,7 +779,7 @@ func (s *sim) evalCall(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 		return s.evalBuiltin(fr, st, o)
 	}
 	if o.Func == nil {
-		return Value{}, false, fmt.Errorf("machine: unresolved call %s", o.Callee)
+		return Value{}, false, fmt.Errorf("machine: unresolved call %s", o.Str)
 	}
 	// Argument values live in a stack-disciplined scratch buffer: nested
 	// calls during operand evaluation push above our base and truncate
@@ -833,7 +833,7 @@ func (s *sim) callTainted(f *ir.Func, args []Value, depth int, argTaint bool) (V
 }
 
 func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
-	if o.Callee == "print" {
+	if o.Str == "print" {
 		s.ops++
 		s.cycles += s.cfg.PrintCost
 		tnt := false
@@ -873,7 +873,7 @@ func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error)
 	}
 	args := s.argBuf[base:]
 	s.ops++
-	switch o.Callee {
+	switch o.Str {
 	case "fabs":
 		s.cycles += s.cfg.IssueCost
 		return Value{F: math.Abs(args[0].F)}, tnt, nil
@@ -908,7 +908,7 @@ func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error)
 		}
 		return args[1], tnt, nil
 	}
-	return Value{}, false, fmt.Errorf("machine: unknown builtin %s", o.Callee)
+	return Value{}, false, fmt.Errorf("machine: unknown builtin %s", o.Str)
 }
 
 // evalBinMachine mirrors the interpreter's binary semantics.

@@ -27,7 +27,7 @@ import (
 // RespFormatVersion is folded into every cache key: bumping it after a
 // response-schema change invalidates persisted entries instead of
 // serving stale shapes.
-const RespFormatVersion = 2
+const RespFormatVersion = 3
 
 // ReqOptions are the result-affecting compilation knobs a client may
 // set. Deliberately absent: SearchWorkers, which is pinned

@@ -45,11 +45,13 @@ func percentileUs(durs []time.Duration, p int) int64 {
 }
 
 // fireAll launches every request concurrently behind one gate and waits
-// for all of them: per-request latency, response bytes, and error.
-func fireAll(remote *Remote, reqs []*CompileRequest) ([]time.Duration, [][]byte, []error) {
+// for all of them: per-request latency, response bytes, daemon-side
+// metadata, and error.
+func fireAll(remote *Remote, reqs []*CompileRequest) ([]time.Duration, [][]byte, []RespMeta, []error) {
 	n := len(reqs)
 	durs := make([]time.Duration, n)
 	bodies := make([][]byte, n)
+	metas := make([]RespMeta, n)
 	errs := make([]error, n)
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -66,11 +68,12 @@ func fireAll(remote *Remote, reqs []*CompileRequest) ([]time.Duration, [][]byte,
 				return
 			}
 			bodies[i], _ = json.Marshal(resp)
+			metas[i] = resp.Meta
 		}(i)
 	}
 	close(gate)
 	wg.Wait()
-	return durs, bodies, errs
+	return durs, bodies, metas, errs
 }
 
 func TestServerLoad(t *testing.T) {
@@ -144,7 +147,7 @@ func TestServerLoad(t *testing.T) {
 	}
 
 	// --- Phase 1: cold. All requests concurrent against an empty cache.
-	durs, bodies, errs := fireAll(remote, reqs)
+	durs, bodies, cmetas, errs := fireAll(remote, reqs)
 	cold := phase("cold", uniq, durs, errs)
 	if cold.Errors != 0 {
 		for i, err := range errs {
@@ -184,7 +187,7 @@ func TestServerLoad(t *testing.T) {
 
 	// --- Phase 2: warm. The same storm again: pure cache hits, still
 	// byte-identical.
-	wdurs, wbodies, werrs := fireAll(remote, reqs)
+	wdurs, wbodies, wmetas, werrs := fireAll(remote, reqs)
 	warm := phase("warm", uniq, wdurs, werrs)
 	if warm.Errors != 0 {
 		t.Fatalf("warm: %d requests failed", warm.Errors)
@@ -218,13 +221,13 @@ func TestServerLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		warmDurs, warmBodies, warmErrs = fireAll(remote, warmBatch)
+		warmDurs, warmBodies, _, warmErrs = fireAll(remote, warmBatch)
 	}()
 	time.Sleep(2 * time.Millisecond) // warm traffic is now in flight
 	if err := resilience.ArmSpec("core.pass1.loop=panic"); err != nil {
 		t.Fatal(err)
 	}
-	fdurs, _, ferrs := fireAll(remote, fresh)
+	fdurs, _, _, ferrs := fireAll(remote, fresh)
 	wg.Wait()
 	resilience.DisarmAll()
 
@@ -250,7 +253,7 @@ func TestServerLoad(t *testing.T) {
 
 	// --- Phase 4: recovery. The poisoned keys recompile cleanly: every
 	// one a miss (nothing poisoned was cached), none degraded.
-	rdurs, _, rerrs := fireAll(remote, fresh)
+	rdurs, _, _, rerrs := fireAll(remote, fresh)
 	rec := phase("recovery", nfresh, rdurs, rerrs)
 	if rec.Errors != 0 {
 		t.Fatalf("recovery: %d requests failed after disarm", rec.Errors)
@@ -273,14 +276,33 @@ func TestServerLoad(t *testing.T) {
 	if warm.P50us > 0 {
 		coldWarmP50x = float64(cold.P50us) / float64(warm.P50us)
 	}
-	t.Logf("cold/warm p50 ratio: %.1fx", coldWarmP50x)
-	// The threshold bounds the cache's value from below: hits must stay far
-	// cheaper than recomputation. It was 10x when cold compile+simulate was
-	// slower; the memory-model fast paths cut the cold side enough that the
-	// observed ratio now sits around 7-14x, so 5x keeps headroom against
-	// noise without letting a real hit-path regression through.
-	if !raceEnabled && coldWarmP50x < 5 {
-		t.Errorf("warm p50 not >=5x better than cold: cold=%dus warm=%dus (%.1fx)",
-			cold.P50us, warm.P50us, coldWarmP50x)
+	t.Logf("cold/warm client p50 ratio: %.1fx", coldWarmP50x)
+
+	// Hits must stay far cheaper than recomputation. The client-side
+	// latencies above are mostly queueing behind 2000 concurrent
+	// requests, so the check uses the daemon's own account instead: the
+	// compile time each response reports (RespMeta.Compile). The miss
+	// side is the median compile of a cold miss; the hit side is the
+	// mean compile time per warm request, which is zero when every warm
+	// request is served from the cache. A hit path that recomputes
+	// (every lookup a miss, whatever the disposition says) puts the warm
+	// mean above the miss median, so the 10x bar does not depend on how
+	// fast compiles are.
+	var missCompile []time.Duration
+	for i, m := range cmetas {
+		if errs[i] == nil && m.Cache == DispMiss {
+			missCompile = append(missCompile, m.Compile)
+		}
+	}
+	var warmCompile time.Duration
+	for _, m := range wmetas {
+		warmCompile += m.Compile
+	}
+	missP50us := percentileUs(missCompile, 50)
+	warmMeanUs := warmCompile.Microseconds() / int64(total)
+	t.Logf("daemon-side compile: cold miss p50=%dus, warm mean=%dus per request", missP50us, warmMeanUs)
+	if missP50us <= 0 || warmMeanUs*10 > missP50us {
+		t.Errorf("warm requests not >=10x cheaper than cold misses in daemon-side compile time: miss p50=%dus warm mean=%dus",
+			missP50us, warmMeanUs)
 	}
 }
