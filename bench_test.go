@@ -448,10 +448,12 @@ func BenchmarkPartitionSearch(b *testing.B) {
 }
 
 // wideFanSource builds a loop with n independent accumulator
-// recurrences: every subset of the n violation candidates is legal and
-// downward-closed, so the search tree has 2^n nodes and the lower bound
-// never prunes — the adversarial worst case for the branch-and-bound and
-// the workload where parallel subtree exploration pays off most.
+// recurrences: every subset of the accumulators' violation candidates is
+// legal and downward-closed, so the unpruned subset tree is exponential
+// in n and the lower bound prunes little — the adversarial worst case for
+// the branch-and-bound and the workload where parallel subtree
+// exploration pays off most. The loop has n+2 violation candidates: the
+// accumulators, the induction variable and the array store.
 func wideFanSource(n int) string {
 	var b strings.Builder
 	b.WriteString("var a int[64];\n")
@@ -474,11 +476,15 @@ func wideFanSource(n int) string {
 }
 
 // BenchmarkPartitionSearchParallel measures the parallel branch-and-bound
-// on a wide 22-candidate fan (see wideFanSource) at increasing worker
-// counts, against the classic serial search. The partition returned is
-// byte-identical in every sub-benchmark; search_nodes is reported so node
-// accounting across worker counts can be compared (under the default node
-// budget the frozen-incumbent mode keeps it worker-count-invariant).
+// on wideFanSource(22) at increasing worker counts, against the classic
+// serial search. That loop has 24 violation candidates. The size prune
+// (limit 91 of a 304-op body) cuts the serial walk to 390 656 nodes,
+// and the bound prune cuts none of them; with the bound prune alone the
+// walk runs into the default node budget (DefaultOptions().MaxSearchNodes,
+// 2^20 nodes). The partition returned is byte-identical in every
+// sub-benchmark; search_nodes is reported so node accounting across
+// worker counts can be compared (under the default node budget the
+// frozen-incumbent mode keeps it worker-count-invariant).
 // Wall-clock scaling requires GOMAXPROCS > 1; on a single-core runner all
 // sub-benchmarks measure the same work plus coordination overhead.
 func BenchmarkPartitionSearchParallel(b *testing.B) {

@@ -430,32 +430,22 @@ func (s *searcher) precompute(eval *cost.Evaluator) {
 		s.ops[i] = sizes.StmtOps(st)
 	}
 
-	// Statement index -> cost-model pseudo ordinal (-1 for non-VCs).
-	s.vcOrd = make([]int32, s.nStmt)
-	for i := range s.vcOrd {
-		s.vcOrd[i] = -1
-	}
-	for _, vc := range s.vcs {
-		if o := eval.Ordinal(vc); o >= 0 {
-			s.vcOrd[g.Order[vc]] = int32(o)
-		}
-	}
-
 	// Closures as statement bitsets, plus each closure's zeroed-VC set.
 	producers := legalProducers(g)
 	s.moveBits = make([]bitset.Set, s.n)
 	s.condBits = make([]bitset.Set, s.n)
 	s.moveVCBits = make([]bitset.Set, s.n)
+	s.closureOps = make([]int, s.n)
 	for i, vc := range s.vcs {
 		c := computeClosure(g, producers, vc)
+		s.closureOps[i] = closureSize(sizes, c.Move, c.CopyConds)
 		s.moveBits[i] = bitset.New(s.nStmt)
 		s.condBits[i] = bitset.New(s.nStmt)
 		s.moveVCBits[i] = bitset.New(s.nVC)
 		for st := range c.Move {
-			si := g.Order[st]
-			s.moveBits[i].Add(si)
-			if o := s.vcOrd[si]; o >= 0 {
-				s.moveVCBits[i].Add(int(o))
+			s.moveBits[i].Add(g.Order[st])
+			if o := eval.Ordinal(st); o >= 0 {
+				s.moveVCBits[i].Add(o)
 			}
 		}
 		for st := range c.CopyConds {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"sptc/internal/bitset"
@@ -34,7 +35,7 @@ type searcher struct {
 	sizeLimit int
 
 	ops        []int        // per-statement call-expanded op counts
-	vcOrd      []int32      // statement index -> pseudo ordinal (-1: none)
+	closureOps []int        // per-VC op count of its move ∪ copy-cond closure
 	moveBits   []bitset.Set // per-VC move closure over statement indices
 	condBits   []bitset.Set // per-VC copy-cond closure over statement indices
 	moveVCBits []bitset.Set // per-VC zeroed pseudo ordinals of the closure
@@ -92,9 +93,14 @@ type walker struct {
 	curConds  bitset.Set
 	curZero   bitset.Set
 	boundZero bitset.Set
-	moveRef   []int32
-	condRef   []int32
 	curSize   int
+
+	// undo is the push stack: each push appends one frame, the curMove,
+	// curConds and curZero words from before it, and its curSize to
+	// undoSize; pop copies the latest frame back. Every push and pop
+	// nests depth-first, so a saved copy restores the sets exactly.
+	undo     []uint64
+	undoSize []int
 
 	// Local incumbent. For the serial walker and frozen-bound workers it
 	// is the pruning bound; live-bound workers prune against the shared
@@ -149,7 +155,7 @@ type task struct {
 }
 
 func (s *searcher) newWalker(budget *resilience.Budget, live, strict bool) *walker {
-	return &walker{
+	w := &walker{
 		s:      s,
 		budget: budget,
 
@@ -158,8 +164,6 @@ func (s *searcher) newWalker(budget *resilience.Budget, live, strict bool) *walk
 		curConds:  bitset.New(s.nStmt),
 		curZero:   bitset.New(s.nVC),
 		boundZero: bitset.New(s.nVC),
-		moveRef:   make([]int32, s.nStmt),
-		condRef:   make([]int32, s.nStmt),
 
 		bestVCs:   bitset.New(s.n),
 		bestMove:  bitset.New(s.nStmt),
@@ -168,6 +172,11 @@ func (s *searcher) newWalker(budget *resilience.Budget, live, strict bool) *walk
 		live:   live,
 		strict: strict,
 	}
+	// A path pushes each candidate at most once, so push never grows
+	// undo past this capacity.
+	w.undo = make([]uint64, 0, s.n*(len(w.curMove)+len(w.curConds)+len(w.curZero)))
+	w.undoSize = make([]int, 0, s.n)
+	return w
 }
 
 // seedEmpty initializes the incumbent to the serial fallback: the empty
@@ -341,59 +350,52 @@ func (w *walker) legal(i int) bool {
 	return true
 }
 
-// A statement contributes to the pre-fork size while it is referenced by
-// any pushed closure, through either set (Move and CopyConds are
-// disjoint: branches are only ever condition-copied, never moved).
+// push adds vcs[i]'s closure to the current sets, saving their words
+// and the size in a new undo frame first. A statement counts once
+// toward the size whether it is moved, condition-copied or both, so the
+// size grows by the closure's op count less the ops of its statements
+// already in curMove ∪ curConds.
 func (w *walker) push(i int) {
 	s := w.s
 	w.inSet.Add(i)
-	s.moveBits[i].ForEach(func(si int) {
-		if w.moveRef[si] == 0 {
-			w.curMove.Add(si)
-			if w.condRef[si] == 0 {
-				w.curSize += s.ops[si]
-			}
-			if o := s.vcOrd[si]; o >= 0 {
-				w.curZero.Add(int(o))
-			}
+	nw := len(w.curMove)
+	f := len(w.undo)
+	w.undo = w.undo[:f+2*nw+len(w.curZero)]
+	u := w.undo[f:]
+	w.undoSize = append(w.undoSize, w.curSize)
+	size := w.curSize + s.closureOps[i]
+	mv, cd := s.moveBits[i], s.condBits[i]
+	for wd, m := range w.curMove {
+		c := w.curConds[wd]
+		u[wd], u[nw+wd] = m, c
+		for o := (mv[wd] | cd[wd]) & (m | c); o != 0; o &= o - 1 {
+			size -= s.ops[wd<<6|bits.TrailingZeros64(o)]
 		}
-		w.moveRef[si]++
-	})
-	s.condBits[i].ForEach(func(si int) {
-		if w.condRef[si] == 0 {
-			w.curConds.Add(si)
-			if w.moveRef[si] == 0 {
-				w.curSize += s.ops[si]
-			}
-		}
-		w.condRef[si]++
-	})
+		w.curMove[wd] = m | mv[wd]
+		w.curConds[wd] = c | cd[wd]
+	}
+	for wd, z := range w.curZero {
+		u[2*nw+wd] = z
+		w.curZero[wd] = z | s.moveVCBits[i][wd]
+	}
+	w.curSize = size
 }
 
+// pop undoes the latest push, which added vcs[i].
 func (w *walker) pop(i int) {
-	s := w.s
 	w.inSet.Remove(i)
-	s.moveBits[i].ForEach(func(si int) {
-		w.moveRef[si]--
-		if w.moveRef[si] == 0 {
-			w.curMove.Remove(si)
-			if w.condRef[si] == 0 {
-				w.curSize -= s.ops[si]
-			}
-			if o := s.vcOrd[si]; o >= 0 {
-				w.curZero.Remove(int(o))
-			}
-		}
-	})
-	s.condBits[i].ForEach(func(si int) {
-		w.condRef[si]--
-		if w.condRef[si] == 0 {
-			w.curConds.Remove(si)
-			if w.moveRef[si] == 0 {
-				w.curSize -= s.ops[si]
-			}
-		}
-	})
+	nw := len(w.curMove)
+	f := len(w.undo) - 2*nw - len(w.curZero)
+	u := w.undo[f:]
+	for wd := range w.curMove {
+		w.curMove[wd], w.curConds[wd] = u[wd], u[nw+wd]
+	}
+	for wd := range w.curZero {
+		w.curZero[wd] = u[2*nw+wd]
+	}
+	w.undo = w.undo[:f]
+	w.curSize = w.undoSize[len(w.undoSize)-1]
+	w.undoSize = w.undoSize[:len(w.undoSize)-1]
 }
 
 // search explores the subtree below the current set, extending it with
