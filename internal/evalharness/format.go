@@ -75,17 +75,12 @@ func (s *SuiteResult) WriteFig15(w io.Writer, level core.Level) {
 func (s *SuiteResult) WriteFig16(w io.Writer, level core.Level) {
 	fmt.Fprintf(w, "Figure 16: runtime coverage of SPT loops (%s compilation)\n", level)
 	fmt.Fprintln(w, "Program    SPT-loops  coverage  max-coverage")
-	var cov, maxCov float64
-	var loops int
 	rows := s.Fig16(level)
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %9d  %7.0f%%  %11.0f%%\n", r.Program, r.SPTLoops, r.Coverage*100, r.MaxCoverage*100)
-		cov += r.Coverage
-		maxCov += r.MaxCoverage
-		loops += r.SPTLoops
 	}
-	if n := float64(len(rows)); n > 0 {
-		fmt.Fprintf(w, "%-10s %9.1f  %7.0f%%  %11.0f%%\n", "average", float64(loops)/n, cov/n*100, maxCov/n*100)
+	if loops, cov, maxCov, ok := fig16Averages(rows); ok {
+		fmt.Fprintf(w, "%-10s %9.1f  %7.0f%%  %11.0f%%\n", "average", loops, cov*100, maxCov*100)
 	}
 }
 
@@ -94,19 +89,12 @@ func (s *SuiteResult) WriteFig17(w io.Writer, level core.Level) {
 	fmt.Fprintf(w, "Figure 17: SPT loop body size and pre-fork share (%s compilation)\n", level)
 	fmt.Fprintln(w, "Program    loops  dyn-ops/iter  static-body  prefork-share")
 	rows := s.Fig17(level)
-	var body, pre float64
-	n := 0
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %5d  %12.0f  %11.0f  %12.1f%%\n",
 			r.Program, r.SelectedLoops, r.AvgBodyOps, r.AvgStaticBody, r.AvgPreForkShare*100)
-		if r.SelectedLoops > 0 {
-			body += r.AvgBodyOps
-			pre += r.AvgPreForkShare
-			n++
-		}
 	}
-	if n > 0 {
-		fmt.Fprintf(w, "%-10s %5s  %12.0f  %11s  %12.1f%%\n", "average", "", body/float64(n), "", pre/float64(n)*100)
+	if body, pre, ok := fig17Averages(rows); ok {
+		fmt.Fprintf(w, "%-10s %5s  %12.0f  %11s  %12.1f%%\n", "average", "", body, "", pre*100)
 	}
 }
 
@@ -115,18 +103,11 @@ func (s *SuiteResult) WriteFig18(w io.Writer, level core.Level) {
 	fmt.Fprintf(w, "Figure 18: SPT loop performance (%s compilation)\n", level)
 	fmt.Fprintln(w, "Program    misspec-ratio  loop-speedup")
 	rows := s.Fig18(level)
-	var mr, sp float64
-	n := 0
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %12.1f%%  %11.2fx\n", r.Program, r.MisspecRatio*100, r.LoopSpeedup)
-		if r.LoopSpeedup > 0 {
-			mr += r.MisspecRatio
-			sp += r.LoopSpeedup
-			n++
-		}
 	}
-	if n > 0 {
-		fmt.Fprintf(w, "%-10s %12.1f%%  %11.2fx\n", "average", mr/float64(n)*100, sp/float64(n))
+	if mr, sp, ok := fig18Averages(rows); ok {
+		fmt.Fprintf(w, "%-10s %12.1f%%  %11.2fx\n", "average", mr*100, sp)
 	}
 }
 
@@ -165,7 +146,8 @@ func (s *SuiteResult) WriteMetrics(w io.Writer) {
 	}
 }
 
-// WriteAll prints every table and figure for the given primary level.
+// WriteAll prints every table and figure for the given primary level,
+// then the paper's claims checked against them (Claims).
 func (s *SuiteResult) WriteAll(w io.Writer, level core.Level) {
 	s.WriteTable1(w)
 	fmt.Fprintln(w)
@@ -180,4 +162,6 @@ func (s *SuiteResult) WriteAll(w io.Writer, level core.Level) {
 	s.WriteFig18(w, level)
 	fmt.Fprintln(w)
 	s.WriteFig19(w, level)
+	fmt.Fprintln(w)
+	s.WriteClaims(w)
 }
