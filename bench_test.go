@@ -845,11 +845,12 @@ func loopGraphFromSource(b *testing.B, src string) (*depgraph.Graph, *cost.Model
 	if err != nil {
 		b.Fatal(err)
 	}
+	an := make(map[*ir.Func]*depgraph.Analysis)
 	nests := make(map[*ir.Func]*ssa.LoopNest)
 	for _, f := range prog.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
-		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
+		nests[f] = an[f].Loops
 	}
 	prof, err := profile.Run(context.Background(), prog, nests, io.Discard, 0)
 	if err != nil {
@@ -859,12 +860,11 @@ func loopGraphFromSource(b *testing.B, src string) (*depgraph.Graph, *cost.Model
 
 	f := prog.Main
 	l := nests[f].Loops[0]
-	pd := depgraph.BuildPostDom(f)
 	g := depgraph.Build(l, depgraph.Config{
 		UseProfile: true,
 		Dep:        prof.Dep,
 		Effects:    depgraph.ComputeEffects(prog),
-		CtrlDeps:   depgraph.ControlDeps(f, pd),
+		Analysis:   an[f],
 	})
 	if g == nil {
 		b.Fatal("nil graph")

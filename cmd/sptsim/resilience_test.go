@@ -26,12 +26,17 @@ func TestInjectSimulatorError(t *testing.T) {
 
 // TestInjectCompileDegrades arms the transform inject point: the
 // affected loops are demoted, a warning lands on stderr, and the
-// simulation still runs the (serial) program.
+// simulation still runs the (serial) program. fig2.spl is the paper's
+// Figure 2 loop nest, which selects SPT loops at best, so the inject
+// point is reached.
 func TestInjectCompileDegrades(t *testing.T) {
+	src := filepath.Join("testdata", "fig2.spl")
+	if _, stdout, _ := runCmd(t, "-quiet", "-level", "best", src); !strings.Contains(stdout, "SPT loop") {
+		t.Fatalf("clean compile selected no SPT loops; test is vacuous:\n%s", stdout)
+	}
 	defer resilience.DisarmAll()
 	code, stdout, stderr := runCmd(t,
-		"-inject", "core.pass2.transform=panic", "-quiet", "-level", "best",
-		filepath.Join("testdata", "demo.spl"))
+		"-inject", "core.pass2.transform=panic", "-quiet", "-level", "best", src)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr)
 	}

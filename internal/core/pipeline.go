@@ -41,6 +41,10 @@ var (
 	injectTransform = resilience.Register("core.pass2.transform")
 )
 
+// buildGraph builds every dependence graph of a compile (pass 1 and SVP);
+// tests wrap it to inspect them.
+var buildGraph = depgraph.Build
+
 // Level is the compilation level.
 type Level int
 
@@ -115,9 +119,11 @@ type Options struct {
 	// result is identical for every SearchWorkers value: loop analyses
 	// are independent, reports and degradation events are reduced in
 	// loop order after the join, a shared partition.Options.Budget is
-	// pre-split deterministically across candidate loops, and the
-	// search itself is worker-count-invariant. 0 (the default) keeps
-	// the classic single-threaded pass 1 and serial search. Pass 2
+	// pre-split deterministically across candidate loops, and every
+	// search returns the same partition. Search-node counts are equal
+	// among SearchWorkers >= 1 only: the serial search (0) may prune
+	// more (see partition.Options.Workers). 0 (the default) keeps the
+	// classic single-threaded pass 1 and serial search. Pass 2
 	// (selection + transformation) always stays serial: it mutates the
 	// IR.
 	SearchWorkers int
@@ -252,6 +258,9 @@ type SPTLoop struct {
 	ID     int
 	Func   *ir.Func
 	Header *ir.Block
+	// Loop is the natural loop of Header on the final IR; nil when
+	// cleanup removed it (e.g. fully dead).
+	Loop   *ssa.Loop
 	Report *LoopReport
 }
 
@@ -349,8 +358,14 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 		sp.End()
 	}
 
+	// Each function's analyses are built once per IR version: here, and
+	// again only where a pass edits a function's CFG (SVP, pass 2).
 	sp = opt.Trace.Start("ssa")
 	buildSSAAll(p)
+	an := make(map[*ir.Func]*depgraph.Analysis, len(p.Funcs))
+	for _, f := range p.Funcs {
+		an[f] = depgraph.Analyze(f)
+	}
 	sp.End()
 	if err := ir.VerifyProgram(p); err != nil {
 		return nil, fmt.Errorf("after preprocessing: %w", err)
@@ -360,7 +375,7 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 	}
 
 	// Profiling run.
-	prof, err := runProfile(ctx, p, opt, root)
+	prof, err := runProfile(ctx, p, an, opt, root)
 	if err != nil {
 		return nil, fmt.Errorf("profiling: %w", err)
 	}
@@ -370,13 +385,13 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 	svpApplied := make(map[*ir.Block]bool) // headers of SVP'd loops
 	if opt.Level >= LevelBest && !opt.DisableSVP {
 		sp = opt.Trace.Start("svp")
-		changed := applySVP(p, prof, opt, svpApplied)
+		changed := applySVP(p, an, prof, opt, svpApplied)
 		sp.Int("rewrites", int64(len(svpApplied))).End()
 		if changed {
 			if err := ir.VerifyProgram(p); err != nil {
 				return nil, fmt.Errorf("after SVP: %w", err)
 			}
-			prof, err = runProfile(ctx, p, opt, root)
+			prof, err = runProfile(ctx, p, an, opt, root)
 			if err != nil {
 				return nil, fmt.Errorf("re-profiling after SVP: %w", err)
 			}
@@ -388,25 +403,18 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 	}
 
 	// Pass 1: analyze every loop candidate. Phase A walks the program in
-	// order, building the per-function analyses (dominators, loop nests,
-	// control dependences) and one job per executed loop; phase B runs
-	// the jobs — inline when SearchWorkers <= 1, on a worker pool
-	// otherwise; phase C reduces results into reports, trace spans, and
-	// degradation events in loop order, so the compilation outcome never
-	// depends on scheduling.
+	// order, building one job per loop of each function's Analysis;
+	// phase B runs the jobs — inline when SearchWorkers <= 1, on a worker
+	// pool otherwise; phase C reduces results into reports, trace spans,
+	// and degradation events in loop order, so the compilation outcome
+	// never depends on scheduling.
 	pass1 := opt.Trace.Start("pass1")
 	effects := depgraph.ComputeEffects(p)
 	var jobs []*pass1Job
 	loopID := 0
 	for _, f := range p.Funcs {
-		dom := ssa.BuildDomTree(f)
-		nest := ssa.FindLoops(f, dom)
-		if len(nest.Loops) == 0 {
-			continue
-		}
-		pd := depgraph.BuildPostDom(f)
-		cds := depgraph.ControlDeps(f, pd)
-		for _, l := range nest.Loops {
+		a := an[f]
+		for _, l := range a.Loops.Loops {
 			rep := &LoopReport{
 				Func: f.Name, LoopID: loopID, HeaderID: l.Header.ID,
 				Kind: l.Kind, Depth: l.Depth, BodySize: l.EffectiveBodySize(),
@@ -426,8 +434,7 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 					UseProfile: opt.Level >= LevelBest,
 					Dep:        prof.Dep,
 					Effects:    effects,
-					CtrlDeps:   cds,
-					Dom:        dom,
+					Analysis:   a,
 				},
 				unit: fmt.Sprintf("%s/loop%d", f.Name, rep.LoopID),
 			})
@@ -627,8 +634,7 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 	for _, f := range funcOrder {
 		ir.PruneUnreachable(f)
 		ir.ReorderRPO(f)
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
+		ssa.Repair(f)
 		ssa.CopyProp(f)
 		ssa.ConstFold(f)
 		ssa.DeadCode(f)
@@ -636,20 +642,20 @@ func compile(p *ir.Program, opt Options, root *trace.Span) (*Result, error) {
 			csp.End()
 			return nil, fmt.Errorf("after SPT transformation of %s: %w", f.Name, err)
 		}
+		an[f] = depgraph.Analyze(f)
 	}
 	csp.End()
 	for _, sl := range res.SPT {
-		sl.Report.HasCalls = loopHasCalls(sl)
+		sl.Loop = an[sl.Func].Loops.ByHeader[sl.Header]
+		sl.Report.HasCalls = loopHasCalls(sl.Loop)
 	}
 	return res, nil
 }
 
 // loopHasCalls reports whether the loop's final body contains non-builtin
-// calls, recomputed on the post-cleanup IR (Figure 19's outlier marker).
-func loopHasCalls(sl *SPTLoop) bool {
-	dom := ssa.BuildDomTree(sl.Func)
-	nest := ssa.FindLoops(sl.Func, dom)
-	nl := nest.ByHeader[sl.Header]
+// calls, read on the post-cleanup IR (Figure 19's outlier marker); nl is
+// nil when cleanup removed the loop.
+func loopHasCalls(nl *ssa.Loop) bool {
 	if nl == nil {
 		return false
 	}
@@ -729,7 +735,7 @@ func (j *pass1Job) run(ctx context.Context, popt partition.Options) {
 		if err := injectPass1.Fire(ctx); err != nil {
 			return err
 		}
-		j.g = depgraph.Build(j.loop, j.cfg)
+		j.g = buildGraph(j.loop, j.cfg)
 		if j.g == nil {
 			return nil
 		}
@@ -902,26 +908,21 @@ func loopOverlaps(a, b *ssa.Loop) bool {
 }
 
 // applySVP scans loops for predictable critical recurrences and rewrites
-// them (Figure 13). Returns whether anything changed.
-func applySVP(p *ir.Program, prof *profile.Profiles, opt Options, applied map[*ir.Block]bool) bool {
+// them (Figure 13), rebuilding the Analysis of every function it edits.
+// Returns whether anything changed.
+func applySVP(p *ir.Program, an map[*ir.Func]*depgraph.Analysis, prof *profile.Profiles, opt Options, applied map[*ir.Block]bool) bool {
 	prof.Edge.Apply(p)
 	effects := depgraph.ComputeEffects(p)
 	changed := false
 	for _, f := range p.Funcs {
-		dom := ssa.BuildDomTree(f)
-		nest := ssa.FindLoops(f, dom)
-		if len(nest.Loops) == 0 {
-			continue
-		}
-		pd := depgraph.BuildPostDom(f)
-		cds := depgraph.ControlDeps(f, pd)
+		a := an[f]
 		var todo []*transform.SVPCandidate
-		for _, l := range nest.Loops {
+		for _, l := range a.Loops.Loops {
 			if prof.Edge.Stats(l).Iterations == 0 {
 				continue
 			}
-			cfg := depgraph.Config{UseProfile: true, Dep: prof.Dep, Effects: effects, CtrlDeps: cds, Dom: dom}
-			g := depgraph.Build(l, cfg)
+			cfg := depgraph.Config{UseProfile: true, Dep: prof.Dep, Effects: effects, Analysis: a}
+			g := buildGraph(l, cfg)
 			if g == nil || len(g.VCs) == 0 {
 				continue
 			}
@@ -978,8 +979,8 @@ func applySVP(p *ir.Program, prof *profile.Profiles, opt Options, applied map[*i
 		}
 		ir.PruneUnreachable(f)
 		ir.ReorderRPO(f)
-		d2 := ssa.BuildDomTree(f)
-		ssa.Build(f, d2)
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
 		if any {
 			changed = true
 		}
@@ -987,15 +988,14 @@ func applySVP(p *ir.Program, prof *profile.Profiles, opt Options, applied map[*i
 	return changed
 }
 
-// runProfile profiles p through opt.ProfileMemo. An executed run is
-// recorded as a "profile" span; a memo hit executes nothing and is
-// counted on root instead.
-func runProfile(ctx context.Context, p *ir.Program, opt Options, root *trace.Span) (*profile.Profiles, error) {
+// runProfile profiles p, whose functions have the analyses an, through
+// opt.ProfileMemo. An executed run is recorded as a "profile" span; a
+// memo hit executes nothing and is counted on root instead.
+func runProfile(ctx context.Context, p *ir.Program, an map[*ir.Func]*depgraph.Analysis, opt Options, root *trace.Span) (*profile.Profiles, error) {
 	begin := opt.Trace.Now()
 	nests := make(map[*ir.Func]*ssa.LoopNest, len(p.Funcs))
-	for _, f := range p.Funcs {
-		dom := ssa.BuildDomTree(f)
-		nests[f] = ssa.FindLoops(f, dom)
+	for f, a := range an {
+		nests[f] = a.Loops
 	}
 	prof, hit, err := opt.ProfileMemo.Run(ctx, p, nests, opt.MaxProfileSteps)
 	if hit {
@@ -1022,7 +1022,6 @@ func finishSSA(p *ir.Program, tk *trace.Track) {
 
 func buildSSAAll(p *ir.Program) {
 	for _, f := range p.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
+		ssa.Repair(f)
 	}
 }

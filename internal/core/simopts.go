@@ -1,39 +1,30 @@
 package core
 
 import (
+	"sptc/internal/depgraph"
 	"sptc/internal/ir"
 	"sptc/internal/machine"
-	"sptc/internal/ssa"
 )
 
 // SimulationOptions assembles machine.RunOptions for a compiled program:
 // SPT headers with their loop IDs and the block membership of every SPT
-// loop (recomputed on the final IR). Shared by the root package, the
-// evaluation harness, and the compilation service.
+// loop on the final IR. Shared by the root package, the evaluation
+// harness, and the compilation service.
 func SimulationOptions(res *Result) machine.RunOptions {
 	opt := machine.RunOptions{
 		SPTHeaders: make(map[*ir.Block]int),
 		LoopBlocks: make(map[*ir.Block]map[*ir.Block]bool),
 	}
-	byFunc := make(map[*ir.Func][]*SPTLoop)
-	for _, l := range res.SPT {
-		byFunc[l.Func] = append(byFunc[l.Func], l)
-	}
-	for f, loops := range byFunc {
-		dom := ssa.BuildDomTree(f)
-		nest := ssa.FindLoops(f, dom)
-		for _, sl := range loops {
-			nl := nest.ByHeader[sl.Header]
-			if nl == nil {
-				continue // transformed away (e.g. fully dead)
-			}
-			opt.SPTHeaders[sl.Header] = sl.ID
-			set := make(map[*ir.Block]bool, len(nl.Blocks))
-			for _, b := range nl.Blocks {
-				set[b] = true
-			}
-			opt.LoopBlocks[sl.Header] = set
+	for _, sl := range res.SPT {
+		if sl.Loop == nil {
+			continue // transformed away (e.g. fully dead)
 		}
+		opt.SPTHeaders[sl.Header] = sl.ID
+		set := make(map[*ir.Block]bool, len(sl.Loop.Blocks))
+		for _, b := range sl.Loop.Blocks {
+			set[b] = true
+		}
+		opt.LoopBlocks[sl.Header] = set
 	}
 	return opt
 }
@@ -49,9 +40,7 @@ func CoverageOptions(prog *ir.Program, maxBody int) (machine.RunOptions, []int) 
 	}
 	var sizes []int
 	for _, f := range prog.Funcs {
-		dom := ssa.BuildDomTree(f)
-		nest := ssa.FindLoops(f, dom)
-		for _, l := range nest.Loops {
+		for _, l := range depgraph.Analyze(f).Loops.Loops {
 			size := l.BodySize()
 			if maxBody > 0 && size > maxBody {
 				continue

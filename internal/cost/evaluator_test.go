@@ -35,10 +35,12 @@ func loopModels(tb testing.TB, src string) []*Model {
 	if err != nil {
 		tb.Fatalf("build: %v", err)
 	}
+	an := make(map[*ir.Func]*depgraph.Analysis)
 	nests := make(map[*ir.Func]*ssa.LoopNest)
 	for _, f := range prog.Funcs {
-		ssa.Build(f, ssa.BuildDomTree(f))
-		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
+		nests[f] = an[f].Loops
 	}
 	prof, err := profile.Run(context.Background(), prog, nests, io.Discard, 0)
 	if err != nil {
@@ -48,9 +50,8 @@ func loopModels(tb testing.TB, src string) []*Model {
 	effects := depgraph.ComputeEffects(prog)
 	var ms []*Model
 	for _, f := range prog.Funcs {
-		ctrl := depgraph.ControlDeps(f, depgraph.BuildPostDom(f))
 		for _, l := range nests[f].Loops {
-			g := depgraph.Build(l, depgraph.Config{UseProfile: true, Dep: prof.Dep, Effects: effects, CtrlDeps: ctrl})
+			g := depgraph.Build(l, depgraph.Config{UseProfile: true, Dep: prof.Dep, Effects: effects, Analysis: an[f]})
 			if g != nil {
 				ms = append(ms, Build(g))
 			}

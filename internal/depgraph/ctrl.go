@@ -6,11 +6,31 @@
 // pre-fork region (Figure 12).
 package depgraph
 
-import "sptc/internal/ir"
+import (
+	"sptc/internal/ir"
+	"sptc/internal/ssa"
+)
 
-// PostDom holds immediate post-dominator information for one function.
+// Analysis is one function's control-flow analyses for one version of its
+// CFG: the dominator tree, the natural loop nest and the control
+// dependences. A loop is named by its header block in every analysis of
+// the same CFG, which is what keys the dependence profile. A pass that
+// edits the CFG makes the Analysis stale; build a fresh one after it.
+type Analysis struct {
+	Dom      *ssa.DomTree
+	Loops    *ssa.LoopNest
+	CtrlDeps map[*ir.Block][]CtrlDep
+}
+
+// Analyze builds f's Analysis.
+func Analyze(f *ir.Func) *Analysis {
+	dom := ssa.BuildDomTree(f)
+	return &Analysis{Dom: dom, Loops: ssa.FindLoops(f, dom), CtrlDeps: controlDeps(f, buildPostDom(f))}
+}
+
+// postDom holds immediate post-dominator information for one function.
 // A virtual exit post-dominates every return block.
-type PostDom struct {
+type postDom struct {
 	// IPdom maps a block to its immediate post-dominator; nil means the
 	// virtual exit.
 	IPdom map[*ir.Block]*ir.Block
@@ -18,10 +38,10 @@ type PostDom struct {
 	rpoNum map[*ir.Block]int
 }
 
-// BuildPostDom computes post-dominators on the reverse CFG using the
+// buildPostDom computes post-dominators on the reverse CFG using the
 // iterative Cooper-Harvey-Kennedy scheme with a virtual exit node.
-func BuildPostDom(f *ir.Func) *PostDom {
-	pd := &PostDom{IPdom: make(map[*ir.Block]*ir.Block), rpoNum: make(map[*ir.Block]int)}
+func buildPostDom(f *ir.Func) *postDom {
+	pd := &postDom{IPdom: make(map[*ir.Block]*ir.Block), rpoNum: make(map[*ir.Block]int)}
 
 	// Exits: blocks with no successors (ret-terminated).
 	var exits []*ir.Block
@@ -114,7 +134,7 @@ func BuildPostDom(f *ir.Func) *PostDom {
 
 // intersect walks up the post-dominator tree; nil represents the virtual
 // exit, which is an ancestor of everything.
-func (pd *PostDom) intersect(a, b *ir.Block, processed map[*ir.Block]bool) *ir.Block {
+func (pd *postDom) intersect(a, b *ir.Block, processed map[*ir.Block]bool) *ir.Block {
 	for a != b {
 		if a == nil || b == nil {
 			return nil
@@ -129,37 +149,27 @@ func (pd *PostDom) intersect(a, b *ir.Block, processed map[*ir.Block]bool) *ir.B
 	return a
 }
 
-// PostDominates reports whether a post-dominates b (reflexively). The
-// virtual exit (nil) post-dominates everything.
-func (pd *PostDom) PostDominates(a, b *ir.Block) bool {
-	if a == nil {
-		return true
-	}
-	for b != nil {
-		if a == b {
-			return true
-		}
-		next, ok := pd.IPdom[b]
-		if !ok {
-			return false
-		}
-		b = next
-	}
-	return false
-}
-
 // CtrlDep records that a block's execution is controlled by a branch.
 type CtrlDep struct {
 	Branch *ir.Block // block whose terminator is the controlling StmtIf
-	// Prob is the probability the controlled block executes given the
-	// branch executes (the taken-edge probability toward it).
-	Prob float64
+	Succ   int       // index in Branch.Succs of the edge toward the block
 }
 
-// ControlDeps computes, for every block, the set of branches it is
+// Prob is the probability the controlled block executes given the branch
+// executes: the taken-edge probability toward it, read from the branch's
+// current SuccProb (0.5 when unannotated), so profile annotations applied
+// after the analysis was built are seen.
+func (cd CtrlDep) Prob() float64 {
+	if cd.Succ < len(cd.Branch.SuccProb) {
+		return cd.Branch.SuccProb[cd.Succ]
+	}
+	return 0.5
+}
+
+// controlDeps computes, for every block, the set of branches it is
 // control-dependent on (Ferrante et al.): b is control-dependent on edge
 // (p -> s) iff b post-dominates s but does not post-dominate p.
-func ControlDeps(f *ir.Func, pd *PostDom) map[*ir.Block][]CtrlDep {
+func controlDeps(f *ir.Func, pd *postDom) map[*ir.Block][]CtrlDep {
 	out := make(map[*ir.Block][]CtrlDep)
 	for _, p := range f.Blocks {
 		if len(p.Succs) < 2 {
@@ -171,11 +181,7 @@ func ControlDeps(f *ir.Func, pd *PostDom) map[*ir.Block][]CtrlDep {
 			stop := pd.IPdom[p]
 			cur := s
 			for cur != nil && cur != stop {
-				prob := 0.5
-				if i < len(p.SuccProb) {
-					prob = p.SuccProb[i]
-				}
-				out[cur] = append(out[cur], CtrlDep{Branch: p, Prob: prob})
+				out[cur] = append(out[cur], CtrlDep{Branch: p, Succ: i})
 				cur = pd.IPdom[cur]
 			}
 		}

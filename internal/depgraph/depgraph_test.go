@@ -28,11 +28,12 @@ func compileLoop(t *testing.T, src string, useProfile bool) (*depgraph.Graph, *s
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	an := make(map[*ir.Func]*depgraph.Analysis)
 	nests := make(map[*ir.Func]*ssa.LoopNest)
 	for _, f := range prog.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
-		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
+		nests[f] = an[f].Loops
 	}
 	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
 	if err != nil {
@@ -46,12 +47,11 @@ func compileLoop(t *testing.T, src string, useProfile bool) (*depgraph.Graph, *s
 		t.Fatal("no loops")
 	}
 	l := nest.Loops[0]
-	pd := depgraph.BuildPostDom(f)
 	cfg := depgraph.Config{
 		UseProfile: useProfile,
 		Dep:        prof.Dep,
 		Effects:    depgraph.ComputeEffects(prog),
-		CtrlDeps:   depgraph.ControlDeps(f, pd),
+		Analysis:   an[f],
 	}
 	g := depgraph.Build(l, cfg)
 	if g == nil {
@@ -172,11 +172,12 @@ func secondLoopGraph(t *testing.T, src string, useProfile bool) *depgraph.Graph 
 	p, _ := parser.Parse("t.spl", src)
 	info, _ := sem.Check(p)
 	prog, _ := ir.Build(info)
+	an := make(map[*ir.Func]*depgraph.Analysis)
 	nests := make(map[*ir.Func]*ssa.LoopNest)
 	for _, f := range prog.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
-		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
+		nests[f] = an[f].Loops
 	}
 	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
 	if err != nil {
@@ -188,12 +189,11 @@ func secondLoopGraph(t *testing.T, src string, useProfile bool) *depgraph.Graph 
 	if len(nest.Loops) < 2 {
 		t.Fatal("need two loops")
 	}
-	pd := depgraph.BuildPostDom(f)
 	cfg := depgraph.Config{
 		UseProfile: useProfile,
 		Dep:        prof.Dep,
 		Effects:    depgraph.ComputeEffects(prog),
-		CtrlDeps:   depgraph.ControlDeps(f, pd),
+		Analysis:   an[f],
 	}
 	g := depgraph.Build(nest.Loops[1], cfg)
 	if g == nil {

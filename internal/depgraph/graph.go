@@ -90,11 +90,10 @@ type Config struct {
 	UseProfile bool
 	Dep        *profile.DepProfile
 	Effects    map[*ir.Func]*Effects
-	// CtrlDeps are the function's block-level control dependences.
-	CtrlDeps map[*ir.Block][]CtrlDep
-	// Dom is the function's dominator tree (computed if nil); the scalar
-	// motion rules need dominance information.
-	Dom *ssa.DomTree
+	// Analysis is the analyzed loop's function's Analysis, built on the
+	// CFG the loop was found in: its control dependences, and the
+	// dominance the scalar motion rules need.
+	Analysis *Analysis
 }
 
 // Build constructs the dependence graph for loop l. Block frequencies and
@@ -122,12 +121,8 @@ func Build(l *ssa.Loop, cfg Config) *Graph {
 		}
 	}
 
-	dom := cfg.Dom
-	if dom == nil {
-		dom = ssa.BuildDomTree(l.Func)
-	}
 	g.buildCtrl(cfg)
-	g.buildScalarEdges(dom)
+	g.buildScalarEdges(cfg.Analysis.Dom)
 	g.buildMemoryEdges(cfg)
 	g.collectVCs()
 	return g
@@ -238,7 +233,7 @@ func (g *Graph) execProb(s *ir.Stmt) float64 {
 func (g *Graph) buildCtrl(cfg Config) {
 	for _, s := range g.Stmts {
 		b := g.Block[s]
-		for _, cd := range cfg.CtrlDeps[b] {
+		for _, cd := range cfg.Analysis.CtrlDeps[b] {
 			if !g.Loop.Contains(cd.Branch) || cd.Branch == g.Block[s] {
 				continue
 			}
@@ -251,7 +246,7 @@ func (g *Graph) buildCtrl(cfg Config) {
 			if cd.Branch == g.Loop.Header {
 				continue
 			}
-			g.Ctrl[s] = append(g.Ctrl[s], CtrlStmtDep{Branch: term, Prob: cd.Prob})
+			g.Ctrl[s] = append(g.Ctrl[s], CtrlStmtDep{Branch: term, Prob: cd.Prob()})
 		}
 	}
 }
@@ -586,7 +581,8 @@ func (g *Graph) buildMemoryEdges(cfg Config) {
 }
 
 func (g *Graph) buildProfiledMemEdges(cfg Config) {
-	for _, k := range cfg.Dep.LoopPairs(g.Loop) {
+	h := g.Loop.Header
+	for _, k := range cfg.Dep.LoopPairs(h) {
 		// Pairs whose endpoints are not loop-body statements arise from
 		// dependences through callees; the paper's framework could not
 		// attribute those to call sites either (its noted cost-model
@@ -595,10 +591,10 @@ func (g *Graph) buildProfiledMemEdges(cfg Config) {
 			continue
 		}
 		c := cfg.Dep.Pairs[k]
-		if p := cfg.Dep.IntraProb(k.W, k.R, g.Loop); p > 0 && g.Order[k.W] < g.Order[k.R] {
+		if p := cfg.Dep.IntraProb(k.W, k.R, h); p > 0 && g.Order[k.W] < g.Order[k.R] {
 			g.True = append(g.True, &Edge{From: k.W, To: k.R, ToOp: c.ROp, Prob: p, Kind: EdgeMemory})
 		}
-		if p := cfg.Dep.CrossProb(k.W, k.R, g.Loop); p > 0 {
+		if p := cfg.Dep.CrossProb(k.W, k.R, h); p > 0 {
 			g.True = append(g.True, &Edge{From: k.W, To: k.R, ToOp: c.ROp, Cross: true, Prob: p, Kind: EdgeMemory})
 		}
 	}

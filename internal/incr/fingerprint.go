@@ -198,10 +198,7 @@ func (fp *Fingerprinter) Loop(l *ssa.Loop, cfg depgraph.Config, bodySize int) (u
 	}
 
 	// Dominance among body blocks (scalar motion rule 2).
-	dom := cfg.Dom
-	if dom == nil {
-		dom = ssa.BuildDomTree(l.Func)
-	}
+	dom := cfg.Analysis.Dom
 	var word uint64
 	bits := 0
 	for _, a := range blocks {
@@ -222,11 +219,11 @@ func (fp *Fingerprinter) Loop(l *ssa.Loop, cfg depgraph.Config, bodySize int) (u
 
 	// Control dependences into body blocks.
 	for _, b := range blocks {
-		cds := cfg.CtrlDeps[b]
+		cds := cfg.Analysis.CtrlDeps[b]
 		h.Int(len(cds))
 		for _, cd := range cds {
 			h.Int(n.BlockSlot(cd.Branch))
-			h.F64(cd.Prob)
+			h.F64(cd.Prob())
 		}
 	}
 
@@ -242,7 +239,7 @@ func (fp *Fingerprinter) Loop(l *ssa.Loop, cfg depgraph.Config, bodySize int) (u
 		for i, s := range stmts {
 			order[s] = i
 		}
-		for _, k := range cfg.Dep.LoopPairs(l) {
+		for _, k := range cfg.Dep.LoopPairs(l.Header) {
 			wi, wok := order[k.W]
 			ri, rok := order[k.R]
 			if !wok || !rok {
@@ -251,8 +248,8 @@ func (fp *Fingerprinter) Loop(l *ssa.Loop, cfg depgraph.Config, bodySize int) (u
 			h.Int(wi)
 			h.Int(ri)
 			h.Int(opPos(k.R, cfg.Dep.Pairs[k].ROp))
-			h.F64(cfg.Dep.IntraProb(k.W, k.R, l))
-			h.F64(cfg.Dep.CrossProb(k.W, k.R, l))
+			h.F64(cfg.Dep.IntraProb(k.W, k.R, l.Header))
+			h.F64(cfg.Dep.CrossProb(k.W, k.R, l.Header))
 		}
 	}
 

@@ -63,17 +63,11 @@ func fingerprintAll(tb testing.TB, src string) []uint64 {
 	fper := incr.NewFingerprinter(p, effects)
 	var out []uint64
 	for _, f := range p.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
-		dom = ssa.BuildDomTree(f)
-		nest := ssa.FindLoops(f, dom)
-		if len(nest.Loops) == 0 {
-			continue
-		}
-		profile.StaticEstimate(f, nest)
-		cds := depgraph.ControlDeps(f, depgraph.BuildPostDom(f))
-		for _, l := range nest.Loops {
-			cfg := depgraph.Config{Effects: effects, CtrlDeps: cds, Dom: dom}
+		ssa.Repair(f)
+		a := depgraph.Analyze(f)
+		profile.StaticEstimate(f, a.Loops)
+		for _, l := range a.Loops.Loops {
+			cfg := depgraph.Config{Effects: effects, Analysis: a}
 			sum, stmts, ok := fper.Loop(l, cfg, l.EffectiveBodySize())
 			if !ok {
 				tb.Fatalf("loop %s/%d not fingerprintable", f.Name, l.Header.ID)

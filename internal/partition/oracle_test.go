@@ -281,11 +281,12 @@ func mainLoopGraphs(tb testing.TB, src string) ([]*depgraph.Graph, []*cost.Model
 	if err != nil {
 		tb.Fatalf("build: %v\n%s", err, src)
 	}
+	an := make(map[*ir.Func]*depgraph.Analysis)
 	nests := make(map[*ir.Func]*ssa.LoopNest)
 	for _, f := range prog.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
-		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
+		nests[f] = an[f].Loops
 	}
 	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
 	if err != nil {
@@ -294,9 +295,7 @@ func mainLoopGraphs(tb testing.TB, src string) ([]*depgraph.Graph, []*cost.Model
 	prof.Edge.Apply(prog)
 
 	f := prog.Main
-	pd := depgraph.BuildPostDom(f)
 	effects := depgraph.ComputeEffects(prog)
-	ctrl := depgraph.ControlDeps(f, pd)
 	var gs []*depgraph.Graph
 	var ms []*cost.Model
 	for _, l := range nests[f].Loops {
@@ -304,7 +303,7 @@ func mainLoopGraphs(tb testing.TB, src string) ([]*depgraph.Graph, []*cost.Model
 			UseProfile: true,
 			Dep:        prof.Dep,
 			Effects:    effects,
-			CtrlDeps:   ctrl,
+			Analysis:   an[f],
 		})
 		if g == nil {
 			continue

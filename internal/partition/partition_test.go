@@ -34,11 +34,12 @@ func loopGraph(t *testing.T, src string, idx int) (*depgraph.Graph, *cost.Model)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	an := make(map[*ir.Func]*depgraph.Analysis)
 	nests := make(map[*ir.Func]*ssa.LoopNest)
 	for _, f := range prog.Funcs {
-		dom := ssa.BuildDomTree(f)
-		ssa.Build(f, dom)
-		nests[f] = ssa.FindLoops(f, ssa.BuildDomTree(f))
+		ssa.Repair(f)
+		an[f] = depgraph.Analyze(f)
+		nests[f] = an[f].Loops
 	}
 	prof, err := profile.Run(context.Background(), prog, nests, discard{}, 0)
 	if err != nil {
@@ -51,12 +52,11 @@ func loopGraph(t *testing.T, src string, idx int) (*depgraph.Graph, *cost.Model)
 	if idx >= len(nest.Loops) {
 		t.Fatalf("loop %d of %d", idx, len(nest.Loops))
 	}
-	pd := depgraph.BuildPostDom(f)
 	g := depgraph.Build(nest.Loops[idx], depgraph.Config{
 		UseProfile: true,
 		Dep:        prof.Dep,
 		Effects:    depgraph.ComputeEffects(prog),
-		CtrlDeps:   depgraph.ControlDeps(f, pd),
+		Analysis:   an[f],
 	})
 	if g == nil {
 		t.Fatal("nil graph")

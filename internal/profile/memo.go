@@ -57,7 +57,7 @@ func (m *Memo) Run(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ss
 		m.m[key] = c
 		m.mu.Unlock()
 	}
-	prof = c.materialize(prog, nests)
+	prof = c.materialize(prog)
 	if m.observe != nil {
 		m.observe(prog, nests, prof, hit)
 	}

@@ -32,11 +32,12 @@ type LoopStats struct {
 	AvgTrip    float64
 }
 
-// DepKey identifies a dependence pair relative to one loop.
+// DepKey identifies a dependence pair relative to one loop, named by its
+// header block: the loop's identity in every analysis of the same IR.
 type DepKey struct {
-	W    *ir.Stmt // writing statement
-	R    *ir.Stmt // reading statement
-	Loop *ssa.Loop
+	W      *ir.Stmt  // writing statement
+	R      *ir.Stmt  // reading statement
+	Header *ir.Block // header of the loop
 }
 
 // DepCount accumulates observations for one dependence pair.
@@ -57,23 +58,23 @@ type DepProfile struct {
 	StmtExec map[*ir.Stmt]int64
 
 	// byLoop lists each loop's Pairs keys in LoopPairs order.
-	byLoop map[*ssa.Loop][]DepKey
+	byLoop map[*ir.Block][]DepKey
 }
 
 type stmtLoop struct {
-	S    *ir.Stmt
-	Loop *ssa.Loop
+	S      *ir.Stmt
+	Header *ir.Block
 }
 
 // CrossProb returns the probability that a write at w is read at r in the
-// immediately following iteration of loop (the violation-relevant
-// probability for next-iteration speculation).
-func (d *DepProfile) CrossProb(w, r *ir.Stmt, loop *ssa.Loop) float64 {
-	c, ok := d.Pairs[DepKey{W: w, R: r, Loop: loop}]
+// immediately following iteration of the loop headed by header (the
+// violation-relevant probability for next-iteration speculation).
+func (d *DepProfile) CrossProb(w, r *ir.Stmt, header *ir.Block) float64 {
+	c, ok := d.Pairs[DepKey{W: w, R: r, Header: header}]
 	if !ok {
 		return 0
 	}
-	n := d.WriteExec[stmtLoop{w, loop}]
+	n := d.WriteExec[stmtLoop{w, header}]
 	if n == 0 {
 		return 0
 	}
@@ -85,13 +86,13 @@ func (d *DepProfile) CrossProb(w, r *ir.Stmt, loop *ssa.Loop) float64 {
 }
 
 // IntraProb returns the probability that a write at w is read at r within
-// the same iteration of loop.
-func (d *DepProfile) IntraProb(w, r *ir.Stmt, loop *ssa.Loop) float64 {
-	c, ok := d.Pairs[DepKey{W: w, R: r, Loop: loop}]
+// the same iteration of the loop headed by header.
+func (d *DepProfile) IntraProb(w, r *ir.Stmt, header *ir.Block) float64 {
+	c, ok := d.Pairs[DepKey{W: w, R: r, Header: header}]
 	if !ok {
 		return 0
 	}
-	n := d.WriteExec[stmtLoop{w, loop}]
+	n := d.WriteExec[stmtLoop{w, header}]
 	if n == 0 {
 		return 0
 	}
@@ -102,11 +103,11 @@ func (d *DepProfile) IntraProb(w, r *ir.Stmt, loop *ssa.Loop) float64 {
 	return p
 }
 
-// LoopPairs returns the observed dependence pairs for the loop, ordered
-// by (W.ID, R.ID) with ties between functions broken by program order.
-// The slice is shared: callers must not modify it.
-func (d *DepProfile) LoopPairs(loop *ssa.Loop) []DepKey {
-	return d.byLoop[loop]
+// LoopPairs returns the observed dependence pairs for the loop headed by
+// header, ordered by (W.ID, R.ID) with ties between functions broken by
+// program order. The slice is shared: callers must not modify it.
+func (d *DepProfile) LoopPairs(header *ir.Block) []DepKey {
+	return d.byLoop[header]
 }
 
 // ValuePattern summarizes the value sequence produced by one statement.
@@ -164,7 +165,7 @@ func Run(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest
 	if err != nil {
 		return nil, err
 	}
-	return c.materialize(prog, nests), nil
+	return c.materialize(prog), nil
 }
 
 // count executes prog under the profiler's hooks and returns what they
@@ -192,10 +193,10 @@ func count(ctx context.Context, prog *ir.Program, nests map[*ir.Func]*ssa.LoopNe
 // it once finish returns it.
 type counts struct {
 	funcs     []*funcInfo   // by function position
-	loops     []loopID      // by loop index
+	nLoops    int           // loops are indexed in nest order, function by function
 	stores    []int32       // by store index: statement index
 	stmtExec  []int64       // by store index
-	writeExec []int64       // by store index * len(loops) + loop index
+	writeExec []int64       // by store index * nLoops + loop index
 	pairs     []pairRec     // by loop index, then (W.ID, R.ID), then statement index
 	patterns  []stmtPattern // by statement index
 }
@@ -209,10 +210,6 @@ type funcInfo struct {
 	edges     []int64
 	header    []int32 // index of the loop the block heads, or -1
 }
-
-// loopID names a loop by its function's position in Program.Funcs and
-// its header's Block.ID.
-type loopID struct{ fn, header int32 }
 
 type stmtPattern struct {
 	stmt int32 // statement index
@@ -301,7 +298,7 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 		p.storeIdx[i], p.valueIdx[i] = -1, -1
 	}
 	base := 0
-	for fn, f := range prog.Funcs {
+	for _, f := range prog.Funcs {
 		nb := f.NumBlocks()
 		fi := &funcInfo{
 			base:      int32(base),
@@ -328,8 +325,8 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 				for _, b := range l.Blocks {
 					contains[b.ID] = true
 				}
-				fi.header[l.Header.ID] = int32(len(p.loops))
-				p.loops = append(p.loops, loopID{fn: int32(fn), header: int32(l.Header.ID)})
+				fi.header[l.Header.ID] = int32(p.nLoops)
+				p.nLoops++
 				p.contains = append(p.contains, contains)
 			}
 			carried = loopCarried(f, nest.Loops, p.contains[first:])
@@ -351,7 +348,7 @@ func newProfiler(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *profiler {
 		base += f.NumStmts()
 	}
 	p.stmtExec = make([]int64, len(p.stores))
-	p.writeExec = make([]int64, len(p.stores)*len(p.loops))
+	p.writeExec = make([]int64, len(p.stores)*p.nLoops)
 
 	// The shadow memory is allocated per run, not recycled: a run's
 	// allocation then depends on the program alone, not on whether an
@@ -481,7 +478,7 @@ func (p *profiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
 	st := int(p.storeIdx[w])
 	p.stmtExec[st]++
 	p.shadow[addr] = writeRec{stmt: w + 1, depth: int32(len(p.active)), t: p.clock}
-	row := p.writeExec[st*len(p.loops):]
+	row := p.writeExec[st*p.nLoops:]
 	for i := range p.active {
 		row[p.active[i].loop]++
 	}
@@ -518,7 +515,7 @@ func (p *profiler) onLoad(fr *interp.Frame, s *ir.Stmt, op *ir.Op, addr int) {
 // pair returns the counters of dependence pair (w, r) at loop l, creating
 // them (with r's reading op) on first sight.
 func (p *profiler) pair(w, r, l int32, op *ir.Op) *DepCount {
-	key := (uint64(w)*uint64(len(p.stmts))+uint64(r))*uint64(len(p.loops)) + uint64(l)
+	key := (uint64(w)*uint64(len(p.stmts))+uint64(r))*uint64(p.nLoops) + uint64(l)
 	i, ok := p.pairIdx[key]
 	if !ok {
 		i = int32(len(p.pairs))
@@ -564,18 +561,21 @@ func (p *profiler) finish() *counts {
 }
 
 // materialize builds the exported, pointer-keyed profiles of prog, a
-// program with the memo key of the one counted; nests are its loop
-// nests.
-func (c *counts) materialize(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest) *Profiles {
+// program with the memo key of the one counted.
+func (c *counts) materialize(prog *ir.Program) *Profiles {
 	edge := &EdgeProfile{BlockFreq: make(map[*ir.Block]int64), EdgeCount: make(map[*ir.Block][]int64)}
 	nStmts := 0
 	for _, f := range prog.Funcs {
 		nStmts += f.NumStmts()
 	}
-	stmts := make([]*ir.Stmt, nStmts) // by statement index
+	stmts := make([]*ir.Stmt, nStmts)      // by statement index
+	headers := make([]*ir.Block, c.nLoops) // by loop index
 	for fn, f := range prog.Funcs {
 		fi := c.funcs[fn]
 		for _, b := range f.Blocks {
+			if l := fi.header[b.ID]; l >= 0 {
+				headers[l] = b
+			}
 			if n := fi.blockFreq[b.ID]; n > 0 {
 				edge.BlockFreq[b] = n
 			}
@@ -589,40 +589,30 @@ func (c *counts) materialize(prog *ir.Program, nests map[*ir.Func]*ssa.LoopNest)
 			}
 		}
 	}
-	loops := make([]*ssa.Loop, len(c.loops)) // by loop index
-	for i, id := range c.loops {
-		for _, l := range nests[prog.Funcs[id.fn]].Loops {
-			if l.Header.ID == int(id.header) {
-				loops[i] = l
-				break
-			}
-		}
-	}
-
 	dep := &DepProfile{
 		Pairs:     make(map[DepKey]*DepCount, len(c.pairs)),
 		WriteExec: make(map[stmtLoop]int64),
 		StmtExec:  make(map[*ir.Stmt]int64),
-		byLoop:    make(map[*ssa.Loop][]DepKey),
+		byLoop:    make(map[*ir.Block][]DepKey),
 	}
 	for st, w := range c.stores {
 		s := stmts[w]
 		if n := c.stmtExec[st]; n > 0 {
 			dep.StmtExec[s] = n
 		}
-		for l, n := range c.writeExec[st*len(c.loops) : (st+1)*len(c.loops)] {
+		for l, n := range c.writeExec[st*c.nLoops : (st+1)*c.nLoops] {
 			if n > 0 {
-				dep.WriteExec[stmtLoop{s, loops[l]}] = n
+				dep.WriteExec[stmtLoop{s, headers[l]}] = n
 			}
 		}
 	}
 	for i := range c.pairs {
 		pr := &c.pairs[i]
-		l := loops[pr.loop]
-		k := DepKey{W: stmts[pr.w], R: stmts[pr.r], Loop: l}
+		h := headers[pr.loop]
+		k := DepKey{W: stmts[pr.w], R: stmts[pr.r], Header: h}
 		dc := pr.c
 		dep.Pairs[k] = &dc
-		dep.byLoop[l] = append(dep.byLoop[l], k)
+		dep.byLoop[h] = append(dep.byLoop[h], k)
 	}
 
 	val := &ValueProfile{patterns: make(map[*ir.Stmt]*ValuePattern, len(c.patterns))}

@@ -133,11 +133,11 @@ func main() {
 	}
 	// The a[i-1] load reads the previous iteration's store: cross
 	// distance one with probability ~1.
-	p := prof.Dep.CrossProb(store, store, l)
+	p := prof.Dep.CrossProb(store, store, l.Header)
 	if p < 0.9 {
 		t.Errorf("distance-1 cross probability %.3f, want ~1", p)
 	}
-	if ip := prof.Dep.IntraProb(store, store, l); ip > 0.1 {
+	if ip := prof.Dep.IntraProb(store, store, l.Header); ip > 0.1 {
 		t.Errorf("intra probability %.3f, want ~0", ip)
 	}
 }
@@ -178,7 +178,7 @@ func main() {
 	if store == nil {
 		t.Skip("store not in this loop ordering")
 	}
-	if p := prof.Dep.CrossProb(store, store, second); p > 0.2 {
+	if p := prof.Dep.CrossProb(store, store, second.Header); p > 0.2 {
 		t.Errorf("hashed updates should rarely collide at distance 1: %.3f", p)
 	}
 }
@@ -439,7 +439,7 @@ func (p *refProfiler) onStore(fr *interp.Frame, s *ir.Stmt, addr int) {
 		rec.depth++
 	}
 	for _, a := range p.active {
-		p.writeExec[profile.StmtLoop{S: s, Loop: a.loop}]++
+		p.writeExec[profile.StmtLoop{S: s, Header: a.loop.Header}]++
 	}
 }
 
@@ -453,7 +453,7 @@ func (p *refProfiler) onLoad(fr *interp.Frame, s *ir.Stmt, op *ir.Op, addr int) 
 			if w.instance != a.instance {
 				continue
 			}
-			key := profile.DepKey{W: rec.stmt, R: s, Loop: a.loop}
+			key := profile.DepKey{W: rec.stmt, R: s, Header: a.loop.Header}
 			c := p.pairs[key]
 			if c == nil {
 				c = &profile.DepCount{ROp: op.ID}
@@ -511,12 +511,13 @@ func (p *refProfiler) pattern(s *ir.Stmt) *profile.ValuePattern {
 	return &profile.ValuePattern{Total: st.total, BestStride: ds[0], BestCount: st.strides[ds[0]], LastSame: st.strides[0]}
 }
 
-// loopPairs lists the reference pairs of loop in LoopPairs' documented
-// order: (W.ID, R.ID), then the functions' program order.
-func (p *refProfiler) loopPairs(loop *ssa.Loop, funcOf map[*ir.Stmt]int) []profile.DepKey {
+// loopPairs lists the reference pairs of the loop headed by header in
+// LoopPairs' documented order: (W.ID, R.ID), then the functions' program
+// order.
+func (p *refProfiler) loopPairs(header *ir.Block, funcOf map[*ir.Stmt]int) []profile.DepKey {
 	var keys []profile.DepKey
 	for k := range p.pairs {
-		if k.Loop == loop {
+		if k.Header == header {
 			keys = append(keys, k)
 		}
 	}
@@ -536,7 +537,7 @@ type profileTables struct {
 	pairs     map[profile.DepKey]*profile.DepCount
 	writeExec map[profile.StmtLoop]int64
 	stmtExec  map[*ir.Stmt]int64
-	loopPairs func(*ssa.Loop) []profile.DepKey
+	loopPairs func(header *ir.Block) []profile.DepKey
 	pattern   func(*ir.Stmt) *profile.ValuePattern
 }
 
@@ -571,7 +572,7 @@ func checkMatchesReference(t *testing.T, prog *ir.Program) (pairs, patterns int)
 		}
 	}
 	want := profileTables{ref.blockFreq, ref.edgeCount, ref.pairs, ref.writeExec, ref.stmtExec,
-		func(l *ssa.Loop) []profile.DepKey { return ref.loopPairs(l, funcOf) }, ref.pattern}
+		func(h *ir.Block) []profile.DepKey { return ref.loopPairs(h, funcOf) }, ref.pattern}
 	return compareProfiles(t, prog, nests, tablesOf(got), want)
 }
 
@@ -600,8 +601,8 @@ func compareProfiles(t *testing.T, prog *ir.Program, nests map[*ir.Func]*ssa.Loo
 	carried := loopCarriedDefs(prog, nests)
 	for _, f := range prog.Funcs {
 		for _, l := range nests[f].Loops {
-			wantKeys := want.loopPairs(l)
-			if gotKeys := got.loopPairs(l); !slices.Equal(gotKeys, wantKeys) {
+			wantKeys := want.loopPairs(l.Header)
+			if gotKeys := got.loopPairs(l.Header); !slices.Equal(gotKeys, wantKeys) {
 				t.Errorf("%s %v: LoopPairs %d keys, want %d (or order differs)", f.Name, l, len(gotKeys), len(wantKeys))
 			}
 			pairs += len(wantKeys)

@@ -29,17 +29,12 @@ func TestSVPQueriesOnlyProfiledValues(t *testing.T) {
 			prof.Edge.Apply(prog)
 			effects := depgraph.ComputeEffects(prog)
 			for _, f := range prog.Funcs {
-				dom := ssa.BuildDomTree(f)
-				nest := ssa.FindLoops(f, dom)
-				if len(nest.Loops) == 0 {
-					continue
-				}
-				cds := depgraph.ControlDeps(f, depgraph.BuildPostDom(f))
-				for _, l := range nest.Loops {
+				a := depgraph.Analyze(f)
+				for _, l := range a.Loops.Loops {
 					if prof.Edge.Stats(l).Iterations == 0 {
 						continue
 					}
-					g := depgraph.Build(l, depgraph.Config{UseProfile: true, Dep: prof.Dep, Effects: effects, CtrlDeps: cds, Dom: dom})
+					g := depgraph.Build(l, depgraph.Config{UseProfile: true, Dep: prof.Dep, Effects: effects, Analysis: a})
 					if g == nil {
 						continue
 					}

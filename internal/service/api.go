@@ -25,9 +25,10 @@ import (
 )
 
 // RespFormatVersion is folded into every cache key: bumping it after a
-// response-schema change invalidates persisted entries instead of
-// serving stale shapes.
-const RespFormatVersion = 3
+// response-schema change, or after a change that alters a compile's
+// answer to the same request, invalidates persisted entries instead of
+// serving stale shapes or stale decisions.
+const RespFormatVersion = 4
 
 // ReqOptions are the result-affecting compilation knobs a client may
 // set. Deliberately absent: SearchWorkers, which is pinned
