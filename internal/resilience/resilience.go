@@ -218,10 +218,11 @@ func (r *Recorder) Count(reason Reason) int {
 // Budget is a phase budget: a deterministic work-unit allowance plus the
 // wall-clock deadline and cancellation of a context. The work-unit side
 // is exact and reproducible (the same inputs always exhaust at the same
-// charge); the deadline is polled every pollEvery charges so hot loops
-// pay almost nothing for it.
+// charge); the deadline is polled each time the unit count crosses a
+// multiple of pollEvery, so hot loops pay one atomic add per charge.
+// Unlimited budgets count down too; only limited ones fail below zero.
 //
-// Budgets are safe for concurrent use: the counters are atomics and the
+// Budgets are safe for concurrent use: the counter is an atomic and the
 // exhaustion error is published once with a compare-and-swap, so several
 // workers can charge one allowance. Note that while concurrent charging
 // is race-free, which worker observes the exhaustion first depends on
@@ -233,11 +234,12 @@ type Budget struct {
 	ctx       context.Context
 	unlimited bool
 	remaining atomic.Int64
-	sincePoll atomic.Int64
 	exhausted atomic.Pointer[error] // sticky first exhaustion error
 }
 
-// pollEvery is how many work-unit charges pass between deadline polls.
+// pollEvery is how many work units pass between deadline polls. It is a
+// power of two, so clearing the low bits of the unit count finds the
+// multiple of pollEvery at or below it.
 const pollEvery = 256
 
 // NewBudget returns a budget of the given work units bound to ctx. A
@@ -281,13 +283,11 @@ func (b *Budget) Spend(n int64) error {
 	if e := b.exhausted.Load(); e != nil {
 		return *e
 	}
-	if !b.unlimited {
-		if b.remaining.Add(-n) < 0 {
-			return b.fail(ErrBudget)
-		}
+	r := b.remaining.Add(-n)
+	if r < 0 && !b.unlimited {
+		return b.fail(ErrBudget)
 	}
-	if b.sincePoll.Add(n) >= pollEvery {
-		b.sincePoll.Store(0)
+	if (r+n)&^(pollEvery-1) != r&^(pollEvery-1) {
 		if err := b.ctx.Err(); err != nil {
 			return b.fail(err)
 		}

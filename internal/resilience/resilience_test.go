@@ -45,22 +45,34 @@ func TestBudgetUnlimited(t *testing.T) {
 }
 
 func TestBudgetDeadline(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	b := NewBudget(ctx, 0)
-	cancel()
-	// The deadline is polled every pollEvery charges, so exhaustion must
-	// show up within one poll interval.
-	var err error
-	for i := 0; i <= pollEvery; i++ {
-		if err = b.Spend(1); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled within %d spends, got %v", pollEvery, err)
-	}
-	if got := ReasonFor(err); got != ReasonCanceled {
-		t.Fatalf("reason = %v", got)
+	// The deadline is polled each time the unit count crosses a multiple
+	// of pollEvery, so a cancellation must show up within pollEvery
+	// spends of one unit, whatever the budget's allowance.
+	for _, tc := range []struct {
+		name string
+		make func(ctx context.Context) *Budget
+	}{
+		{"unlimited", func(ctx context.Context) *Budget { return NewBudget(ctx, 0) }},
+		{"limited", func(ctx context.Context) *Budget { return NewBudget(ctx, 10*pollEvery+17) }},
+		{"split-child", func(ctx context.Context) *Budget { return NewBudget(ctx, 9*pollEvery+5).Split(2)[1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			b := tc.make(ctx)
+			cancel()
+			var err error
+			for i := 0; i < pollEvery; i++ {
+				if err = b.Spend(1); err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled within %d spends, got %v", pollEvery, err)
+			}
+			if got := ReasonFor(err); got != ReasonCanceled {
+				t.Fatalf("reason = %v", got)
+			}
+		})
 	}
 }
 
