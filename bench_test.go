@@ -594,27 +594,6 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportMetric(float64(ops), "sim_instructions")
 }
 
-// BenchmarkSimulateTree measures the same simulation on the reference
-// tree-walking interpreter (the bytecode engine's differential oracle);
-// the ratio to BenchmarkSimulate is the bytecode engine's speedup.
-func BenchmarkSimulateTree(b *testing.B) {
-	res := compiled(b, "gap", core.LevelBest)
-	opt := sptc.SimulationOptions(res)
-	opt.Out = io.Discard
-	opt.Engine = machine.EngineTree
-	cfg := machine.DefaultConfig()
-	var ops int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := machine.Run(res.Prog, cfg, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ops = sim.Ops
-	}
-	b.ReportMetric(float64(ops), "sim_instructions")
-}
-
 // BenchmarkRunBatch measures the batched entry point over the whole
 // benchmark suite at the best level: one RunBatch call simulates every
 // program on worker-owned pooled engines. The w1/wmax pair separates

@@ -11,7 +11,6 @@ import (
 	"sptc/internal/core"
 	"sptc/internal/incr"
 	"sptc/internal/ir"
-	"sptc/internal/machine"
 	"sptc/internal/trace"
 
 	"sptc/internal/splgen"
@@ -291,8 +290,8 @@ func TestIncrementalSimulationFidelity(t *testing.T) {
 			compileIncr(t, src, core.LevelBest, 1, store)
 			warm, _ := compileIncr(t, edited, core.LevelBest, 1, store)
 			cold, _ := compileIncr(t, edited, core.LevelBest, 1, nil)
-			outCold, simCold := runSimulator(t, cold, edited, core.LevelBest, machine.EngineBytecode)
-			outWarm, simWarm := runSimulator(t, warm, edited, core.LevelBest, machine.EngineBytecode)
+			outCold, simCold := runSimulator(t, cold, edited, core.LevelBest)
+			outWarm, simWarm := runSimulator(t, warm, edited, core.LevelBest)
 			if outCold != outWarm {
 				t.Fatalf("simulated output differs:\n%q\nvs\n%q", outCold, outWarm)
 			}

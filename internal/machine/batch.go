@@ -37,8 +37,9 @@ func NewEngine() *Engine { return &Engine{} }
 // steady-state calls are read-only).
 var layoutMu sync.Mutex
 
-// Run simulates the program to completion, reusing the engine's pooled
-// state.
+// Run simulates the program to completion on the bytecode engine,
+// reusing the engine's pooled state. A program the engine cannot lower
+// fails with a *LoweringError.
 func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, error) {
 	if opt.Out == nil {
 		opt.Out = io.Discard
@@ -66,13 +67,10 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 
 	// Lower before reset sizes the memory image: a program lowering
 	// rejects would need an image beyond 2^31 words.
-	var low *loweredProg
-	if opt.Engine == EngineBytecode {
-		var err error
-		if low, err = lowerProgram(prog, cfg); err != nil {
-			sp.Str("error", err.Error())
-			return nil, err
-		}
+	low, err := lowerProgram(prog, cfg)
+	if err != nil {
+		sp.Str("error", err.Error())
+		return nil, err
 	}
 	s := e.reset(prog, cfg, opt, size)
 	for _, g := range prog.Globals {
@@ -90,7 +88,7 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 		return nil, err
 	}
 	s.low = low
-	if low != nil && len(s.spt) > 0 {
+	if len(s.spt) > 0 {
 		s.sptID = make(map[*ir.Func][]int32, len(low.fns))
 		for f, lf := range low.fns {
 			ids := make([]int32, len(lf.blocks))

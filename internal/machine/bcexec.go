@@ -16,23 +16,16 @@ type tval struct {
 	t bool
 }
 
-// execFrom dispatches block-range execution to the active engine: the
-// bytecode engine (RunOptions.Engine == EngineBytecode, the default,
-// which lowers every function of the program), or the reference tree
-// walker under EngineTree, the test oracle. Everything around it — the
-// SPT pairwise runner, frames, speculative buffers, memory hierarchy —
-// is shared by both engines.
-func (s *sim) execFrom(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool) (execOutcome, error) {
-	if s.low != nil {
-		return s.execByte(fr, blk, prev, stop)
-	}
-	return s.exec(fr, blk, prev, stop)
-}
-
-// execByte is the bytecode engine's dispatch loop: the exact semantics
-// of sim.exec (see sim.go) over the lowered instruction stream. Any
-// change to the walker must be mirrored here; TestEngineFidelity holds
-// the two bit-identical.
+// execByte is the simulator's executor. It runs one function activation
+// over the lowered instruction stream, from blk (entered from prev) until
+// the function returns; with leg set, the activation runs one iteration
+// of the active SPT loop (a main or a speculative leg) and also stops,
+// without executing it, at the first block that is the loop header or
+// lies outside the loop (s.stopHdr, s.stopIn). The SPT pairwise runner,
+// frames, speculative buffers and the memory hierarchy around it live in
+// sim.go and spt.go. The reference tree walker in walker_test.go defines
+// the same semantics over the IR; the fidelity tests hold the two
+// bit-identical.
 //
 // The hot counters (cycles, ops, steps, memCycles) live in locals and
 // are flushed to the sim around anything that observes them: SPT loop
@@ -42,7 +35,10 @@ func (s *sim) execFrom(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 // s.vstack addressed by sp; lowering computed the per-activation
 // maximum depth, so pushes never reallocate mid-frame (only a nested
 // call can move the backing array, and the window is reloaded after).
-func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool) (execOutcome, error) {
+func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, error) {
+	if s.walk != nil {
+		return s.walk(s, fr, blk, prev, leg)
+	}
 	lfn := s.low.fns[fr.fn]
 	code := lfn.code
 	aux := lfn.aux
@@ -76,23 +72,8 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 	// jumps may land directly past such enters.
 	skipEnter := s.attr == nil && (s.sptActive || s.spt == nil)
 
-	// Pre/post-fork interleave specialization: the speculative context,
-	// the undo-log flag, the active core's predictor and the stop
-	// predicate are loop-invariant within one activation — a leg runs
-	// entirely speculative or entirely main — except across exactly
-	// three calls that may flip them for the frames they own: the SPT
-	// runner (bcEnter), a nested call (bcCall) and the fork hook
-	// (bcFork). Hoisting them (and the frame's register file and the
-	// memory image, which never move mid-run) into locals takes the
-	// generation checks and spec-charge branch selection off the
-	// per-statement path; the three boundary sites reload them.
-	spec := s.spec
-	undo := s.undoActive
-	bp := s.bpM
-	if spec != nil {
-		bp = s.bpS
-	}
-	stopHdr, stopIn := s.stopHdr, s.stopIn
+	// The hierarchy, the memory image and the frame's register file
+	// never move mid-run, so they are read through locals.
 	hier := s.hier
 	mem := s.mem
 	regs, regGen := fr.regs, fr.regGen
@@ -131,23 +112,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 					exit, exitPrev, err := s.runSPTLoop(fr, b, prevBlk, id)
 					cycles, ops, steps, memCycles = s.cycles, s.ops, s.steps, s.memCycles
 					vs = s.vstack[:cap(s.vstack)]
-					// Boundary reload: the SPT runner leaves spec nil and
-					// the undo log closed, but re-derive the hoisted state
-					// rather than assume it.
-					spec, undo = s.spec, s.undoActive
-					bp = s.bpM
-					if spec != nil {
-						bp = s.bpS
-					}
 					if rt, ok := err.(errReturnThroughLoop); ok {
 						return execOutcome{ret: true, retVal: rt.val, retTaint: rt.taint}, nil
 					}
 					if err != nil {
 						return execOutcome{}, err
 					}
-					if stop != nil && stop(exit) {
-						return execOutcome{stopped: exit, prev: exitPrev}, nil
-					}
+					// No stop test on the exit: sptActive holds through
+					// every leg, so a leg's activation never enters here.
 					prevBlk = exitPrev
 					pc = lfn.entry[exit]
 					continue
@@ -199,25 +171,13 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 		case bcGoto:
 			prevBlk = in.blk
 			tgt := in.a
-			if stop != nil {
-				te := &code[tgt]
-				var stopped bool
-				if stopIn != nil {
-					stopped = te.blk == stopHdr || !stopIn[te.b]
-				} else {
-					stopped = stop(te.blk)
-				}
-				if stopped {
-					s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
-					return execOutcome{stopped: te.blk, prev: prevBlk}, nil
-				}
-				if skipEnter && te.a < 0 {
-					tgt++ // phi-less enter is a no-op here; land past it
-				}
-			} else if skipEnter {
-				if te := &code[tgt]; te.a < 0 {
-					tgt++
-				}
+			te := &code[tgt]
+			if leg && (te.blk == s.stopHdr || !s.stopIn[te.b]) {
+				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
+				return execOutcome{stopped: te.blk, prev: prevBlk}, nil
+			}
+			if skipEnter && te.a < 0 {
+				tgt++ // phi-less enter is a no-op here; land past it
 			}
 			pc = tgt
 
@@ -232,14 +192,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			} else {
 				taken = cond.v.I != 0
 			}
-			if !bp.predict(int(in.d), taken) {
+			if !s.bp().predict(int(in.d), taken) {
 				cycles += mp
 			}
 			tgt := in.b
 			if taken {
 				tgt = in.a
 			}
-			if sc := spec; sc != nil {
+			if sc := s.spec; sc != nil {
 				sc.ops += ops - o0
 				if cond.t {
 					sc.reexecCycles += cycles - c0
@@ -247,25 +207,13 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				}
 			}
 			prevBlk = in.blk
-			if stop != nil {
-				te := &code[tgt]
-				var stopped bool
-				if stopIn != nil {
-					stopped = te.blk == stopHdr || !stopIn[te.b]
-				} else {
-					stopped = stop(te.blk)
-				}
-				if stopped {
-					s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
-					return execOutcome{stopped: te.blk, prev: prevBlk}, nil
-				}
-				if skipEnter && te.a < 0 {
-					tgt++
-				}
-			} else if skipEnter {
-				if te := &code[tgt]; te.a < 0 {
-					tgt++
-				}
+			te := &code[tgt]
+			if leg && (te.blk == s.stopHdr || !s.stopIn[te.b]) {
+				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
+				return execOutcome{stopped: te.blk, prev: prevBlk}, nil
+			}
+			if skipEnter && te.a < 0 {
+				tgt++
 			}
 			pc = tgt
 
@@ -280,7 +228,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 
 		case bcUseVar:
 			var tv tval
-			if spec == nil {
+			if s.spec == nil {
 				if regGen[in.a] == gen {
 					tv.v = regs[in.a]
 				}
@@ -299,7 +247,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			if lat > l1Lat {
 				memCycles += lat
 			}
-			if spec == nil {
+			if s.spec == nil {
 				vs[sp] = tval{v: mem[addr]}
 			} else {
 				v, tnt := s.readMem(addr)
@@ -338,7 +286,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			if lat > l1Lat {
 				memCycles += lat
 			}
-			if spec == nil {
+			if s.spec == nil {
 				vs[sp-1] = tval{v: mem[addr], t: acc.t}
 			} else {
 				v, t2 := s.readMem(addr)
@@ -355,7 +303,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				y.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.yid] == gen {
 						y.v = regs[in.yid]
 					}
@@ -371,7 +319,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				x.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						x.v = regs[in.xid]
 					}
@@ -443,7 +391,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				y.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.yid] == gen {
 						y.v = regs[in.yid]
 					}
@@ -459,7 +407,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				x.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						x.v = regs[in.xid]
 					}
@@ -477,7 +425,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var y2 tval
 			if uint8(d) == bcMConst {
 				y2.v.I = int64(in.c)
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.c] == gen {
 					y2.v = regs[in.c]
 				}
@@ -500,7 +448,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				y.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.yid] == gen {
 						y.v = regs[in.yid]
 					}
@@ -516,7 +464,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				x.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						x.v = regs[in.xid]
 					}
@@ -539,7 +487,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				ix.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						ix.v = regs[in.xid]
 					}
@@ -563,7 +511,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			if lat > l1Lat {
 				memCycles += lat
 			}
-			if spec == nil {
+			if s.spec == nil {
 				vs[sp] = tval{v: mem[addr], t: ix.t}
 			} else {
 				v, t2 := s.readMem(addr)
@@ -644,14 +592,6 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			s.argBuf = s.argBuf[:ab]
 			cycles, ops, steps, memCycles = s.cycles, s.ops, s.steps, s.memCycles
 			vs = s.vstack[:cap(s.vstack)]
-			// Boundary reload: a callee cannot change our leg's context
-			// (SPT regions never nest, the fork hook ignores foreign
-			// frames), but re-derive the hoisted state rather than assume.
-			spec, undo = s.spec, s.undoActive
-			bp = s.bpM
-			if spec != nil {
-				bp = s.bpS
-			}
 			if err != nil {
 				return execOutcome{}, err
 			}
@@ -751,14 +691,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			x := vs[sp]
 			cycles += in.cost
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = x.v
 				regGen[in.a] = gen
 				baseVals[in.b] = x.v
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, x.v, x.t)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - o0
 				if x.t {
 					sc.reexecCycles += cycles - c0
@@ -773,12 +713,12 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			cycles += in.cost
 			ops++
 			addr := int(in.c)
-			if spec == nil && !undo {
+			if s.spec == nil && !s.undoActive {
 				mem[addr] = x.v
 				hier.store(addr)
 			} else {
 				s.writeMem(addr, x.v, x.t)
-				if sc := spec; sc != nil {
+				if sc := s.spec; sc != nil {
 					sc.ops += ops - o0
 					if x.t {
 						sc.reexecCycles += cycles - c0
@@ -796,12 +736,12 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			cycles += in.cost
 			ops++
 			addr := int(in.c) + int(acc.v.I)
-			if spec == nil && !undo {
+			if s.spec == nil && !s.undoActive {
 				mem[addr] = x.v
 				hier.store(addr)
 			} else {
 				s.writeMem(addr, x.v, tnt)
-				if sc := spec; sc != nil {
+				if sc := s.spec; sc != nil {
 					sc.ops += ops - o0
 					if tnt {
 						sc.reexecCycles += cycles - c0
@@ -814,7 +754,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 		case bcCallStmt:
 			sp--
 			x := vs[sp]
-			if sc := spec; sc != nil {
+			if sc := s.spec; sc != nil {
 				sc.ops += ops - o0
 				if x.t {
 					sc.reexecCycles += cycles - c0
@@ -845,7 +785,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x tval
 			if in.xm == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					x.v = regs[in.xid]
 				}
@@ -854,14 +794,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			cycles += in.cost
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = x.v
 				regGen[in.a] = gen
 				baseVals[in.b] = x.v
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, x.v, x.t)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - os
 				if x.t {
 					sc.reexecCycles += cycles - cs
@@ -886,7 +826,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x, y tval
 			if in.xm == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					x.v = regs[in.xid]
 				}
@@ -895,7 +835,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			if in.ym == bcMConst {
 				y.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.yid] == gen {
 					y.v = regs[in.yid]
 				}
@@ -908,14 +848,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = rv
 				regGen[in.a] = gen
 				baseVals[in.b] = rv
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, rv, tnt)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - os
 				if tnt {
 					sc.reexecCycles += cycles - cs
@@ -940,7 +880,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x, y tval
 			if in.xm == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					x.v = regs[in.xid]
 				}
@@ -949,7 +889,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			if in.ym == bcMConst {
 				y.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.yid] == gen {
 					y.v = regs[in.yid]
 				}
@@ -962,14 +902,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = rv
 				regGen[in.a] = gen
 				baseVals[in.b] = rv
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, rv, tnt)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - os
 				if tnt {
 					sc.reexecCycles += cycles - cs
@@ -999,21 +939,21 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				memCycles += lat
 			}
 			var x tval
-			if spec == nil {
+			if s.spec == nil {
 				x.v = mem[addr]
 			} else {
 				x.v, x.t = s.readMem(addr)
 			}
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = x.v
 				regGen[in.a] = gen
 				baseVals[in.b] = x.v
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, x.v, x.t)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - os
 				if x.t {
 					sc.reexecCycles += cycles - cs
@@ -1038,7 +978,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var ix tval
 			if in.xm == bcMConst {
 				ix.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					ix.v = regs[in.xid]
 				}
@@ -1059,7 +999,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				memCycles += lat
 			}
 			var x tval
-			if spec == nil {
+			if s.spec == nil {
 				x = tval{v: mem[addr], t: ix.t}
 			} else {
 				v, t2 := s.readMem(addr)
@@ -1067,14 +1007,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = x.v
 				regGen[in.a] = gen
 				baseVals[in.b] = x.v
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, x.v, x.t)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - os
 				if x.t {
 					sc.reexecCycles += cycles - cs
@@ -1099,7 +1039,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x tval
 			if in.xm == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					x.v = regs[in.xid]
 				}
@@ -1109,12 +1049,12 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			cycles += in.cost
 			ops++
 			addr := int(in.c)
-			if spec == nil && !undo {
+			if s.spec == nil && !s.undoActive {
 				mem[addr] = x.v
 				hier.store(addr)
 			} else {
 				s.writeMem(addr, x.v, x.t)
-				if sc := spec; sc != nil {
+				if sc := s.spec; sc != nil {
 					sc.ops += ops - os
 					if x.t {
 						sc.reexecCycles += cycles - cs
@@ -1140,7 +1080,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var ix tval
 			if in.xm == bcMConst {
 				ix.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					ix.v = regs[in.xid]
 				}
@@ -1156,7 +1096,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x tval
 			if in.ym == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.yid] == gen {
 					x.v = regs[in.yid]
 				}
@@ -1167,12 +1107,12 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			cycles += in.cost
 			ops++
 			addr := int(in.d) + i
-			if spec == nil && !undo {
+			if s.spec == nil && !s.undoActive {
 				mem[addr] = x.v
 				hier.store(addr)
 			} else {
 				s.writeMem(addr, x.v, tnt)
-				if sc := spec; sc != nil {
+				if sc := s.spec; sc != nil {
 					sc.ops += ops - os
 					if tnt {
 						sc.reexecCycles += cycles - cs
@@ -1198,7 +1138,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x, y tval
 			if in.xm == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					x.v = regs[in.xid]
 				}
@@ -1207,7 +1147,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			if in.ym == bcMConst {
 				y.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.yid] == gen {
 					y.v = regs[in.yid]
 				}
@@ -1221,14 +1161,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			cycles += isC
 			ops++
 			taken := r != 0
-			if !bp.predict(int(in.d), taken) {
+			if !s.bp().predict(int(in.d), taken) {
 				cycles += mp
 			}
 			tgt := in.b
 			if taken {
 				tgt = in.a
 			}
-			if sc := spec; sc != nil {
+			if sc := s.spec; sc != nil {
 				sc.ops += ops - os
 				if tnt {
 					sc.reexecCycles += cycles - cs
@@ -1236,25 +1176,13 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				}
 			}
 			prevBlk = in.blk
-			if stop != nil {
-				te := &code[tgt]
-				var stopped bool
-				if stopIn != nil {
-					stopped = te.blk == stopHdr || !stopIn[te.b]
-				} else {
-					stopped = stop(te.blk)
-				}
-				if stopped {
-					s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
-					return execOutcome{stopped: te.blk, prev: prevBlk}, nil
-				}
-				if skipEnter && te.a < 0 {
-					tgt++
-				}
-			} else if skipEnter {
-				if te := &code[tgt]; te.a < 0 {
-					tgt++
-				}
+			te := &code[tgt]
+			if leg && (te.blk == s.stopHdr || !s.stopIn[te.b]) {
+				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
+				return execOutcome{stopped: te.blk, prev: prevBlk}, nil
+			}
+			if skipEnter && te.a < 0 {
+				tgt++
 			}
 			pc = tgt
 
@@ -1274,7 +1202,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x tval
 			if in.xm == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.xid] == gen {
 					x.v = regs[in.xid]
 				}
@@ -1289,14 +1217,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			} else {
 				taken = x.v.I != 0
 			}
-			if !bp.predict(int(in.d), taken) {
+			if !s.bp().predict(int(in.d), taken) {
 				cycles += mp
 			}
 			tgt := in.b
 			if taken {
 				tgt = in.a
 			}
-			if sc := spec; sc != nil {
+			if sc := s.spec; sc != nil {
 				sc.ops += ops - os
 				if x.t {
 					sc.reexecCycles += cycles - cs
@@ -1304,25 +1232,13 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				}
 			}
 			prevBlk = in.blk
-			if stop != nil {
-				te := &code[tgt]
-				var stopped bool
-				if stopIn != nil {
-					stopped = te.blk == stopHdr || !stopIn[te.b]
-				} else {
-					stopped = stop(te.blk)
-				}
-				if stopped {
-					s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
-					return execOutcome{stopped: te.blk, prev: prevBlk}, nil
-				}
-				if skipEnter && te.a < 0 {
-					tgt++
-				}
-			} else if skipEnter {
-				if te := &code[tgt]; te.a < 0 {
-					tgt++
-				}
+			te := &code[tgt]
+			if leg && (te.blk == s.stopHdr || !s.stopIn[te.b]) {
+				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
+				return execOutcome{stopped: te.blk, prev: prevBlk}, nil
+			}
+			if skipEnter && te.a < 0 {
+				tgt++
 			}
 			pc = tgt
 
@@ -1336,7 +1252,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				y.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.yid] == gen {
 						y.v = regs[in.yid]
 					}
@@ -1352,7 +1268,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				x.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						x.v = regs[in.xid]
 					}
@@ -1369,14 +1285,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = rv
 				regGen[in.a] = gen
 				baseVals[in.b] = rv
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, rv, tnt)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - o0
 				if tnt {
 					sc.reexecCycles += cycles - c0
@@ -1391,7 +1307,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				y.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.yid] == gen {
 						y.v = regs[in.yid]
 					}
@@ -1407,7 +1323,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				x.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						x.v = regs[in.xid]
 					}
@@ -1424,14 +1340,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = rv
 				regGen[in.a] = gen
 				baseVals[in.b] = rv
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, rv, tnt)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - o0
 				if tnt {
 					sc.reexecCycles += cycles - c0
@@ -1446,7 +1362,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			case bcMConst:
 				ix.v = in.val
 			case bcMVar:
-				if spec == nil {
+				if s.spec == nil {
 					if regGen[in.xid] == gen {
 						ix.v = regs[in.xid]
 					}
@@ -1471,7 +1387,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				memCycles += lat
 			}
 			var x tval
-			if spec == nil {
+			if s.spec == nil {
 				x = tval{v: mem[addr], t: ix.t}
 			} else {
 				v, t2 := s.readMem(addr)
@@ -1479,14 +1395,14 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			cycles += isC
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				regs[in.a] = x.v
 				regGen[in.a] = gen
 				baseVals[in.b] = x.v
 				baseGen[in.b] = gen
 			} else {
 				s.defineVar(fr, aux[pc].v, x.v, x.t)
-				sc := spec
+				sc := s.spec
 				sc.ops += ops - o0
 				if x.t {
 					sc.reexecCycles += cycles - c0
@@ -1507,7 +1423,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			var x tval
 			if in.ym == bcMConst {
 				x.v = in.val
-			} else if spec == nil {
+			} else if s.spec == nil {
 				if regGen[in.yid] == gen {
 					x.v = regs[in.yid]
 				}
@@ -1518,12 +1434,12 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			cycles += in.cost
 			ops++
 			addr := int(in.d) + i
-			if spec == nil && !undo {
+			if s.spec == nil && !s.undoActive {
 				mem[addr] = x.v
 				hier.store(addr)
 			} else {
 				s.writeMem(addr, x.v, tnt)
-				if sc := spec; sc != nil {
+				if sc := s.spec; sc != nil {
 					sc.ops += ops - o0
 					if tnt {
 						sc.reexecCycles += cycles - c0
@@ -1542,7 +1458,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 			}
 			cycles += in.cost
 			ops++
-			if sc := spec; sc != nil {
+			if sc := s.spec; sc != nil {
 				sc.ops += ops - o0
 				if tnt {
 					sc.reexecCycles += cycles - c0
@@ -1558,21 +1474,18 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				s.onFork(fr)
 				cycles, ops, steps, memCycles = s.cycles, s.ops, s.steps, s.memCycles
-				// Boundary reload: a spawning fork opens the undo log for
-				// the rest of this main leg.
-				undo = s.undoActive
 			}
-			if sc := spec; sc != nil {
+			if sc := s.spec; sc != nil {
 				sc.ops += ops - o0
 			}
 			pc++
 
 		case bcKill:
 			ops++
-			if spec == nil {
+			if s.spec == nil {
 				cycles += in.cost
 			} else {
-				spec.ops += ops - o0
+				s.spec.ops += ops - o0
 			}
 			pc++
 

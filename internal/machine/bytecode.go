@@ -15,12 +15,11 @@ import (
 // per (program, config), so repeated simulations of the same compiled
 // program skip both lowering and the tree walk entirely.
 //
-// The engine is bit-identical to the tree walker in sim.go: every cycle
-// charge, op count, step, branch-predictor lookup, memory access, error
-// message and output byte is issued in exactly the same order. The tree
-// walker is kept as the differential oracle (RunOptions.Engine ==
-// EngineTree); TestEngineFidelity enforces the equivalence over the
-// corpus.
+// The engine is bit-identical to the reference tree walker, which lives
+// in walker_test.go as its differential oracle: every cycle charge, op
+// count, step, branch-predictor lookup, memory access, error message and
+// output byte is issued in exactly the same order. TestEngineFidelity
+// and TestEngineFidelityGenerated enforce the equivalence.
 
 // bcOp enumerates bytecode opcodes.
 type bcOp uint8
@@ -898,7 +897,8 @@ func (lo *lowerer) lowerCall(st *ir.Stmt, o *ir.Op) {
 	lo.stk(1 - len(o.Args))
 }
 
-// binCostFor mirrors sim.binCost against an explicit config.
+// binCostFor is the cycle cost of a binary op under cfg: the one cost
+// table that lowering and the test walker both charge from.
 func binCostFor(cfg Config, o *ir.Op) float64 {
 	floatOperands := o.Args[0].Type == ir.ValFloat || o.Args[1].Type == ir.ValFloat
 	switch o.Bin {

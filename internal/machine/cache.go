@@ -6,8 +6,8 @@ package machine
 // single contiguous run of memory. 32-bit fields suffice: a tag
 // collision would need a simulated memory beyond 2^31 words and a
 // stamp wrap 2^31 accesses in one run, neither of which is reachable,
-// and both engines share this model so they stay bit-identical
-// regardless.
+// and the engine and the test walker share this model so they stay
+// bit-identical regardless.
 type cacheLevel struct {
 	sets     int
 	setMask  int64 // sets-1 when sets is a power of two, else -1

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"sptc/internal/interp"
@@ -99,39 +98,6 @@ type RunOptions struct {
 	// Context, when set, cancels the simulation cooperatively: it is
 	// polled every ctxPollSteps simulated statements.
 	Context context.Context
-	// Engine is the oracle selector for tests. Production callers leave
-	// it zero (EngineBytecode: the compile-once bytecode engine, the one
-	// simulation path). EngineTree runs the reference tree walker, which
-	// is bit-identical — same output bytes, cycles, op counts and
-	// fidelity counters — and serves as the bytecode engine's
-	// differential oracle (TestEngineFidelity*, the core differential
-	// and fuzz tests, TestAttributionIsPureObserver,
-	// BenchmarkSimulateTree). Under EngineBytecode, Run returns a
-	// *LoweringError for a program the engine cannot lower; the walker
-	// never runs in its place.
-	Engine EngineKind
-}
-
-// EngineKind selects the simulator's execution engine.
-type EngineKind uint8
-
-const (
-	// EngineBytecode executes functions lowered to flat bytecode, cached
-	// per (program, config). The default.
-	EngineBytecode EngineKind = iota
-	// EngineTree executes the reference tree-walking interpreter: the
-	// test oracle for EngineBytecode.
-	EngineTree
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case EngineBytecode:
-		return "bytecode"
-	case EngineTree:
-		return "tree"
-	}
-	return fmt.Sprintf("EngineKind(%d)", uint8(k))
 }
 
 // ctxPollSteps is how often (in simulated statements) the simulator
@@ -255,18 +221,23 @@ type sim struct {
 	argBuf    []Value // stack-discipline scratch for call arguments
 
 	// Bytecode engine state (see bytecode.go / bcexec.go).
-	low    *loweredProg // non-nil: execute lowered bytecode instead of walking the IR
+	low    *loweredProg // the program's lowered functions
 	vstack []tval       // operand stack, stack-disciplined across nested calls
 	// sptID is the dense form of RunOptions.SPTHeaders, indexed by the
 	// lowered function's block numbering (instr.b), so block entry tests
 	// a slice instead of a map. -1 marks a non-header block.
 	sptID map[*ir.Func][]int32
-	// Dense form of the active SPT leg's stop predicate (stop fires when
-	// control reaches stopHdr or leaves the loop's block set), so the hot
-	// jump path tests a slice instead of calling a closure over a map.
+	// The active SPT loop: an iteration's activation stops when control
+	// reaches stopHdr or leaves the loop's blocks. stopIn is the block
+	// set in dense form, so the hot jump path tests a slice, not a map.
 	stopHdr     *ir.Block
 	stopIn      []bool               // by the loop function's dense block index
 	inLoopDense map[*ir.Block][]bool // per-run cache, keyed by loop header
+
+	// walk, when set, runs every activation in place of execByte. Only
+	// tests set it, to the reference tree walker the bytecode engine is
+	// checked against (walker_test.go); production leaves it nil.
+	walk func(s *sim, fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, error)
 
 	// loop attribution
 	attr      map[*ir.Block]int
@@ -369,193 +340,8 @@ type execOutcome struct {
 	ret      bool
 	retVal   Value
 	retTaint bool      // the returned value depends on violated speculative state
-	stopped  *ir.Block // set when the stop predicate fired (block not executed)
+	stopped  *ir.Block // set when an SPT iteration stopped here (block not executed)
 	prev     *ir.Block // predecessor on arrival at stopped
-}
-
-// exec runs from blk (entered from prev) until the function returns or
-// stop fires for a block about to be entered.
-func (s *sim) exec(fr *frame, blk, prev *ir.Block, stop func(*ir.Block) bool) (execOutcome, error) {
-	for {
-		// SPT loop entry: only from the outermost, non-speculative
-		// context, and only when not already inside an SPT region.
-		if id, ok := s.spt[blk]; ok && !s.sptActive {
-			exit, exitPrev, err := s.runSPTLoop(fr, blk, prev, id)
-			if rt, ok := err.(errReturnThroughLoop); ok {
-				return execOutcome{ret: true, retVal: rt.val, retTaint: rt.taint}, nil
-			}
-			if err != nil {
-				return execOutcome{}, err
-			}
-			blk, prev = exit, exitPrev
-			if stop != nil && stop(blk) {
-				return execOutcome{stopped: blk, prev: prev}, nil
-			}
-			continue
-		}
-		s.noteBlock(fr, blk)
-
-		// Phis evaluate in parallel from the predecessor's values.
-		phis := blk.Phis()
-		if len(phis) > 0 && prev != nil {
-			pi := blk.PredIndex(prev)
-			if pi < 0 {
-				return execOutcome{}, fmt.Errorf("machine: %s: b%d entered from non-pred b%d", fr.fn.Name, blk.ID, prev.ID)
-			}
-			// Scratch reuse is safe: nothing between the read and define
-			// loops re-enters exec.
-			if cap(s.phiVals) < len(phis) {
-				s.phiVals = make([]Value, len(phis))
-				s.phiTaints = make([]bool, len(phis))
-			}
-			vals := s.phiVals[:len(phis)]
-			taints := s.phiTaints[:len(phis)]
-			for i, phi := range phis {
-				v, tnt := s.readVar(fr, phi.PhiArgs[pi])
-				vals[i], taints[i] = v, tnt
-			}
-			for i, phi := range phis {
-				s.defineVar(fr, phi.Dst, vals[i], taints[i])
-			}
-		}
-
-		for _, st := range blk.Stmts[len(phis):] {
-			s.steps++
-			if s.steps > s.cfg.MaxSteps {
-				return execOutcome{}, ErrStepLimit
-			}
-			if s.ctx != nil && s.steps%ctxPollSteps == 0 {
-				if err := s.ctx.Err(); err != nil {
-					return execOutcome{}, err
-				}
-			}
-			c0, o0 := s.cycles, s.ops
-
-			switch st.Kind {
-			case ir.StmtAssign:
-				v, tnt, err := s.eval(fr, st, st.RHS)
-				if err != nil {
-					return execOutcome{}, err
-				}
-				s.cycles += s.cfg.IssueCost
-				s.ops++
-				s.defineVar(fr, st.Dst, v, tnt)
-				s.chargeSpec(st, tnt, c0, o0)
-
-			case ir.StmtStoreG, ir.StmtStoreA:
-				addr := st.G.Addr
-				tnt := false
-				if st.Kind == ir.StmtStoreA {
-					a, t, err := s.elemAddr(fr, st, st.G, st.Index)
-					if err != nil {
-						return execOutcome{}, err
-					}
-					addr, tnt = a, t
-				}
-				v, t2, err := s.eval(fr, st, st.RHS)
-				if err != nil {
-					return execOutcome{}, err
-				}
-				tnt = tnt || t2
-				s.cycles += s.cfg.IssueCost
-				s.ops++
-				s.writeMem(addr, v, tnt)
-				s.chargeSpec(st, tnt, c0, o0)
-
-			case ir.StmtCall:
-				_, tnt, err := s.eval(fr, st, st.RHS)
-				if err != nil {
-					return execOutcome{}, err
-				}
-				s.chargeSpec(st, tnt, c0, o0)
-
-			case ir.StmtRet:
-				var v Value
-				var tnt bool
-				if st.RHS != nil {
-					var err error
-					v, tnt, err = s.eval(fr, st, st.RHS)
-					if err != nil {
-						return execOutcome{}, err
-					}
-				}
-				s.cycles += s.cfg.IssueCost
-				s.ops++
-				s.chargeSpec(st, tnt, c0, o0)
-				return execOutcome{ret: true, retVal: v, retTaint: tnt}, nil
-
-			case ir.StmtIf:
-				v, tnt, err := s.eval(fr, st, st.RHS)
-				if err != nil {
-					return execOutcome{}, err
-				}
-				s.cycles += s.cfg.IssueCost
-				s.ops++
-				taken := isTrue(v, st.RHS.Type)
-				if !s.bp().predict(st.ID, taken) {
-					s.cycles += s.cfg.MispredictPenalty
-				}
-				next := blk.Succs[1]
-				if taken {
-					next = blk.Succs[0]
-				}
-				s.chargeSpec(st, tnt, c0, o0)
-				prev, blk = blk, next
-				goto nextBlock
-
-			case ir.StmtGoto:
-				prev, blk = blk, blk.Succs[0]
-				goto nextBlock
-
-			// Fork and kill accounting convention: each executes as one
-			// dynamic instruction (ops++) on whichever core runs it, and
-			// both flow through chargeSpec so speculative-leg op counts
-			// (spec.ops) include them. Their cycle overheads are charged
-			// where they take effect: ForkOverhead inside onFork (only
-			// when a fork actually spawns), KillOverhead only on the
-			// non-speculative core (a speculative thread's own kill is
-			// discarded with the thread).
-			case ir.StmtFork:
-				s.ops++
-				if s.forkIter != nil {
-					s.onFork(fr)
-				}
-				// Outside an active main SPT leg (including speculative
-				// legs) the fork spawns nothing.
-				s.chargeSpec(st, false, c0, o0)
-
-			case ir.StmtKill:
-				s.ops++
-				if s.spec == nil {
-					s.cycles += s.cfg.KillOverhead
-				}
-				s.chargeSpec(st, false, c0, o0)
-
-			default:
-				return execOutcome{}, fmt.Errorf("machine: invalid statement kind %s", st.Kind)
-			}
-		}
-		return execOutcome{}, fmt.Errorf("machine: %s: b%d fell through", fr.fn.Name, blk.ID)
-
-	nextBlock:
-		if stop != nil && stop(blk) {
-			return execOutcome{stopped: blk, prev: prev}, nil
-		}
-	}
-}
-
-// chargeSpec records a statement's cost as re-execution when it was
-// misspeculated during a speculative leg.
-func (s *sim) chargeSpec(st *ir.Stmt, tainted bool, c0 float64, o0 int64) {
-	if s.spec == nil {
-		return
-	}
-	s.spec.ops += s.ops - o0
-	if tainted {
-		s.spec.reexecCycles += s.cycles - c0
-		s.spec.reexecOps += s.ops - o0
-	}
-	_ = st
 }
 
 // readVar reads a scalar, performing the speculative context check: a
@@ -634,173 +420,6 @@ func (s *sim) readMem(addr int) (Value, bool) {
 	return v, false
 }
 
-func isTrue(v Value, k ir.ValKind) bool {
-	if k == ir.ValFloat {
-		return v.F != 0
-	}
-	return v.I != 0
-}
-
-func (s *sim) elemAddr(fr *frame, st *ir.Stmt, g *ir.Global, index []*ir.Op) (int, bool, error) {
-	off := 0
-	tnt := false
-	for d, ix := range index {
-		v, t, err := s.eval(fr, st, ix)
-		if err != nil {
-			return 0, false, err
-		}
-		tnt = tnt || t
-		i := int(v.I)
-		if i < 0 || i >= g.Dims[d] {
-			return 0, false, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
-				fr.fn.Name, i, g.Dims[d], g.Name, st.ID)
-		}
-		off = off*g.Dims[d] + i
-	}
-	return g.Addr + off, tnt, nil
-}
-
-func (s *sim) eval(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
-	switch o.Kind {
-	case ir.OpConstInt:
-		return Value{I: o.ConstI}, false, nil
-	case ir.OpConstFloat:
-		return Value{F: o.ConstF}, false, nil
-	case ir.OpConstStr:
-		return Value{}, false, nil
-	case ir.OpUseVar:
-		v, tnt := s.readVar(fr, o.Var)
-		return v, tnt, nil
-	case ir.OpLoadG:
-		s.ops++
-		lat := s.hier.load(o.G.Addr)
-		s.cycles += lat
-		if lat > s.cfg.L1Lat {
-			s.memCycles += lat
-		}
-		v, tnt := s.readMem(o.G.Addr)
-		return v, tnt, nil
-	case ir.OpLoadA:
-		addr, tnt, err := s.elemAddr(fr, st, o.G, o.Args)
-		if err != nil {
-			return Value{}, false, err
-		}
-		s.ops++
-		lat := s.hier.load(addr)
-		s.cycles += lat
-		if lat > s.cfg.L1Lat {
-			s.memCycles += lat
-		}
-		v, t2 := s.readMem(addr)
-		return v, tnt || t2, nil
-	case ir.OpBin:
-		x, tx, err := s.eval(fr, st, o.Args[0])
-		if err != nil {
-			return Value{}, false, err
-		}
-		y, ty, err := s.eval(fr, st, o.Args[1])
-		if err != nil {
-			return Value{}, false, err
-		}
-		s.ops++
-		s.cycles += s.binCost(o)
-		v, err := evalBinMachine(fr, st, o, x, y)
-		return v, tx || ty, err
-	case ir.OpUn:
-		x, tnt, err := s.eval(fr, st, o.Args[0])
-		if err != nil {
-			return Value{}, false, err
-		}
-		s.ops++
-		s.cycles += s.cfg.IssueCost
-		switch o.Un {
-		case ir.UnNeg:
-			if o.Type == ir.ValFloat {
-				return Value{F: -x.F}, tnt, nil
-			}
-			return Value{I: -x.I}, tnt, nil
-		case ir.UnNot:
-			if isTrue(x, o.Args[0].Type) {
-				return Value{I: 0}, tnt, nil
-			}
-			return Value{I: 1}, tnt, nil
-		case ir.UnBitNot:
-			return Value{I: ^x.I}, tnt, nil
-		}
-		return Value{}, false, fmt.Errorf("machine: bad unary op")
-	case ir.OpCast:
-		x, tnt, err := s.eval(fr, st, o.Args[0])
-		if err != nil {
-			return Value{}, false, err
-		}
-		s.ops++
-		s.cycles += s.cfg.IssueCost
-		if o.Type == ir.ValFloat {
-			if o.Args[0].Type == ir.ValFloat {
-				return x, tnt, nil
-			}
-			return Value{F: float64(x.I)}, tnt, nil
-		}
-		if o.Args[0].Type == ir.ValFloat {
-			return Value{I: int64(x.F)}, tnt, nil
-		}
-		return x, tnt, nil
-	case ir.OpCall:
-		return s.evalCall(fr, st, o)
-	}
-	return Value{}, false, fmt.Errorf("machine: invalid op kind %d", o.Kind)
-}
-
-func (s *sim) binCost(o *ir.Op) float64 {
-	floatOperands := o.Args[0].Type == ir.ValFloat || o.Args[1].Type == ir.ValFloat
-	switch o.Bin {
-	case ir.BinMul:
-		if floatOperands {
-			return s.cfg.FloatCost
-		}
-		return s.cfg.IntMulCost
-	case ir.BinDiv:
-		if floatOperands {
-			return s.cfg.FloatDivCost
-		}
-		return s.cfg.IntDivCost
-	case ir.BinRem:
-		return s.cfg.IntDivCost
-	default:
-		if floatOperands {
-			return s.cfg.FloatCost
-		}
-		return s.cfg.IssueCost
-	}
-}
-
-func (s *sim) evalCall(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
-	if o.Builtin {
-		return s.evalBuiltin(fr, st, o)
-	}
-	if o.Func == nil {
-		return Value{}, false, fmt.Errorf("machine: unresolved call %s", o.Str)
-	}
-	// Argument values live in a stack-disciplined scratch buffer: nested
-	// calls during operand evaluation push above our base and truncate
-	// back before we append the next operand.
-	base := len(s.argBuf)
-	argTaint := false
-	for _, a := range o.Args {
-		v, t, err := s.eval(fr, st, a)
-		if err != nil {
-			s.argBuf = s.argBuf[:base]
-			return Value{}, false, err
-		}
-		s.argBuf = append(s.argBuf, v)
-		argTaint = argTaint || t
-	}
-	s.ops++
-	v, retTaint, err := s.callTainted(o.Func, s.argBuf[base:], fr.depth+1, argTaint)
-	s.argBuf = s.argBuf[:base]
-	return v, argTaint || retTaint, err
-}
-
 // callTainted invokes a function during either normal or speculative
 // execution. Argument taint seeds the callee's parameter taint; the
 // second result is the taint of the returned value, so misspeculation
@@ -820,7 +439,7 @@ func (s *sim) callTainted(f *ir.Func, args []Value, depth int, argTaint bool) (V
 		}
 	}
 	s.cycles += s.cfg.CallOverhead
-	out, err := s.execFrom(fr, f.Entry, nil, nil)
+	out, err := s.execByte(fr, f.Entry, nil, false)
 	if err != nil {
 		return Value{}, false, err
 	}
@@ -830,85 +449,6 @@ func (s *sim) callTainted(f *ir.Func, args []Value, depth int, argTaint bool) (V
 		return Value{}, false, fmt.Errorf("machine: %s finished without return", f.Name)
 	}
 	return out.retVal, out.retTaint, nil
-}
-
-func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
-	if o.Str == "print" {
-		s.ops++
-		s.cycles += s.cfg.PrintCost
-		tnt := false
-		for i, a := range o.Args {
-			if i > 0 {
-				fmt.Fprint(s.out, " ")
-			}
-			if a.Kind == ir.OpConstStr {
-				fmt.Fprint(s.out, a.Str)
-				continue
-			}
-			v, t, err := s.eval(fr, st, a)
-			if err != nil {
-				return Value{}, false, err
-			}
-			tnt = tnt || t
-			if a.Type == ir.ValFloat {
-				fmt.Fprintf(s.out, "%.6g", v.F)
-			} else {
-				fmt.Fprintf(s.out, "%d", v.I)
-			}
-		}
-		fmt.Fprintln(s.out)
-		return Value{}, tnt, nil
-	}
-
-	base := len(s.argBuf)
-	defer func() { s.argBuf = s.argBuf[:base] }()
-	tnt := false
-	for _, a := range o.Args {
-		v, t, err := s.eval(fr, st, a)
-		if err != nil {
-			return Value{}, false, err
-		}
-		s.argBuf = append(s.argBuf, v)
-		tnt = tnt || t
-	}
-	args := s.argBuf[base:]
-	s.ops++
-	switch o.Str {
-	case "fabs":
-		s.cycles += s.cfg.IssueCost
-		return Value{F: math.Abs(args[0].F)}, tnt, nil
-	case "fsqrt":
-		s.cycles += s.cfg.SqrtCost
-		if args[0].F < 0 {
-			return Value{}, false, fmt.Errorf("machine: fsqrt of negative value")
-		}
-		return Value{F: math.Sqrt(args[0].F)}, tnt, nil
-	case "fmin":
-		s.cycles += s.cfg.FloatCost
-		return Value{F: math.Min(args[0].F, args[1].F)}, tnt, nil
-	case "fmax":
-		s.cycles += s.cfg.FloatCost
-		return Value{F: math.Max(args[0].F, args[1].F)}, tnt, nil
-	case "iabs":
-		s.cycles += s.cfg.IssueCost
-		if args[0].I < 0 {
-			return Value{I: -args[0].I}, tnt, nil
-		}
-		return args[0], tnt, nil
-	case "imin":
-		s.cycles += s.cfg.IssueCost
-		if args[0].I < args[1].I {
-			return args[0], tnt, nil
-		}
-		return args[1], tnt, nil
-	case "imax":
-		s.cycles += s.cfg.IssueCost
-		if args[0].I > args[1].I {
-			return args[0], tnt, nil
-		}
-		return args[1], tnt, nil
-	}
-	return Value{}, false, fmt.Errorf("machine: unknown builtin %s", o.Str)
 }
 
 // evalBinMachine mirrors the interpreter's binary semantics.

@@ -74,13 +74,13 @@ func (s *sim) beginSpecLeg(fr *frame) {
 	bumpStamp(&s.specStamp, s.writtenGen, s.taintMemGen)
 }
 
-// runIteration executes one iteration of the loop starting at header
-// (entered from prev), stopping when stop fires (control back at the
-// header or out of the loop). When mainLeg is set, the fork instruction
-// snapshots the context and opens the undo log. The result is written
-// into the caller-provided it, so the per-iteration bookkeeping does not
-// allocate.
-func (s *sim) runIteration(it *iterRun, fr *frame, from, prev *ir.Block, stop func(*ir.Block) bool, mainLeg bool) error {
+// runIteration executes one iteration of the active SPT loop starting at
+// from (entered from prev), stopping when control is back at the header
+// or out of the loop (s.stopHdr, s.stopIn). When mainLeg is set, the
+// fork instruction snapshots the context and opens the undo log. The
+// result is written into the caller-provided it, so the per-iteration
+// bookkeeping does not allocate.
+func (s *sim) runIteration(it *iterRun, fr *frame, from, prev *ir.Block, mainLeg bool) error {
 	*it = iterRun{}
 	c0, o0, m0 := s.cycles, s.ops, s.memCycles
 
@@ -89,7 +89,7 @@ func (s *sim) runIteration(it *iterRun, fr *frame, from, prev *ir.Block, stop fu
 		s.forkC0, s.forkM0 = c0, m0
 	}
 
-	out, err := s.execFrom(fr, from, prev, stop)
+	out, err := s.execByte(fr, from, prev, true)
 	if mainLeg {
 		s.forkIter, s.forkFrame = nil, nil
 		s.undoActive = false
@@ -158,35 +158,29 @@ func (s *sim) runSPTLoop(fr *frame, header, prev *ir.Block, loopID int) (*ir.Blo
 	s.sptActive = true
 	defer func() { s.sptActive = false }()
 
-	stop := func(b *ir.Block) bool {
-		return b == header || !inLoop[b]
-	}
-
-	// Give the bytecode engine a dense view of the stop predicate
-	// (closure-and-map-free); built once per run per header.
-	if s.low != nil {
-		dense := s.inLoopDense[header]
-		if dense == nil {
-			lfn := s.low.fns[fr.fn]
-			dense = make([]bool, len(lfn.blocks))
-			for i, b := range lfn.blocks {
-				dense[i] = inLoop[b]
-			}
-			if s.inLoopDense == nil {
-				s.inLoopDense = make(map[*ir.Block][]bool)
-			}
-			s.inLoopDense[header] = dense
+	// The iterations stop at the header or on leaving the loop; the
+	// dense block set is built once per run per header.
+	dense := s.inLoopDense[header]
+	if dense == nil {
+		lfn := s.low.fns[fr.fn]
+		dense = make([]bool, len(lfn.blocks))
+		for i, b := range lfn.blocks {
+			dense[i] = inLoop[b]
 		}
-		s.stopHdr, s.stopIn = header, dense
-		defer func() { s.stopHdr, s.stopIn = nil, nil }()
+		if s.inLoopDense == nil {
+			s.inLoopDense = make(map[*ir.Block][]bool)
+		}
+		s.inLoopDense[header] = dense
 	}
+	s.stopHdr, s.stopIn = header, dense
+	defer func() { s.stopHdr, s.stopIn = nil, nil }()
 
 	elapsed0 := s.cycles
 	cur, curPrev := header, prev
 	var j, sp iterRun
 	for {
 		// Main leg: iteration j.
-		if err := s.runIteration(&j, fr, cur, curPrev, stop, true); err != nil {
+		if err := s.runIteration(&j, fr, cur, curPrev, true); err != nil {
 			return nil, nil, err
 		}
 		st.Iterations++
@@ -218,7 +212,7 @@ func (s *sim) runSPTLoop(fr *frame, header, prev *ir.Block, loopID int) (*ir.Blo
 		s.beginSpecLeg(fr)
 		s.specBuf = specCtx{loopFrame: fr}
 		s.spec = &s.specBuf
-		err := s.runIteration(&sp, fr, header, j.prev, stop, false)
+		err := s.runIteration(&sp, fr, header, j.prev, false)
 		spec := s.spec
 		s.spec = nil
 		if err != nil {
