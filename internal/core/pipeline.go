@@ -220,6 +220,21 @@ func (d Decision) String() string {
 	return "?"
 }
 
+// MarshalText encodes a decision as its String name (the compilation
+// service's wire form).
+func (d Decision) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText decodes a String name; an unknown name is an error.
+func (d *Decision) UnmarshalText(b []byte) error {
+	for x := DecisionSelected; x <= DecisionDegraded; x++ {
+		if x.String() == string(b) {
+			*d = x
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown loop decision %q", b)
+}
+
 // LoopReport captures everything pass 1 and pass 2 learned about a loop.
 type LoopReport struct {
 	Func     string

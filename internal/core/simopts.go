@@ -72,18 +72,6 @@ func MaxCoverage(sim *machine.Result) float64 {
 	return covered / sim.Cycles
 }
 
-// ParseDecision maps a Decision.String() name back to the Decision; ok
-// is false for an unknown name. The compilation service uses it to
-// reconstruct loop reports from wire responses.
-func ParseDecision(name string) (Decision, bool) {
-	for d := DecisionSelected; d <= DecisionDegraded; d++ {
-		if d.String() == name {
-			return d, true
-		}
-	}
-	return 0, false
-}
-
 // ParseLevel maps the external level names (CLI flags, service requests)
 // to core levels; ok is false for an unknown name. allowBase admits the
 // non-SPT reference level.

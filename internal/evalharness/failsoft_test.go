@@ -63,8 +63,8 @@ func TestSuiteFailSoftPass1Panic(t *testing.T) {
 		if lr.Compile == nil || lr.Sim == nil {
 			t.Fatalf("%s: degraded job must still carry results", r.Name)
 		}
-		if len(lr.Compile.SPT) != 0 {
-			t.Errorf("%s: all loops should be demoted, got %d SPT loops", r.Name, len(lr.Compile.SPT))
+		if lr.Compile.SPTCount != 0 {
+			t.Errorf("%s: all loops should be demoted, got %d SPT loops", r.Name, lr.Compile.SPTCount)
 		}
 		if len(lr.Compile.Degradations) == 0 {
 			t.Errorf("%s: degraded job carries no degradation events", r.Name)

@@ -30,10 +30,10 @@ import (
 // LevelRun is one benchmark compiled and simulated at one level.
 type LevelRun struct {
 	Level core.Level
-	// Compile is the result reconstructed from the job's service
-	// response (service.ReconstructCompile): reports, SPT loops and
-	// degradation events, with a nil Prog.
-	Compile  *core.Result
+	// Compile and Sim are the job's service response as the client
+	// decoded it: loop reports, SPT count and degradation events, and
+	// the simulation statistics.
+	Compile  *service.CompileResponse
 	Sim      *machine.Result
 	Output   string
 	Speedup  float64 // base cycles / this level's cycles
@@ -43,7 +43,7 @@ type LevelRun struct {
 	// Status is the job's fail-soft disposition. On StatusTimeout or
 	// StatusPanic the job produced no results (Compile and Sim are nil)
 	// and Err holds the failure; on StatusDegraded the results are
-	// complete but Compile.Degradations is non-empty.
+	// complete but Compile.Degraded is set.
 	Status  Status
 	Err     error
 	Retried bool // the job timed out once and was retried
@@ -115,7 +115,7 @@ type Options struct {
 	Context context.Context
 	// Client executes every compile+simulate job as one Simulate request
 	// (nil = in-process service.Local). Figures are extracted from the
-	// reconstructed responses, so they cannot tell where a job ran.
+	// responses, so they cannot tell where a job ran.
 	//
 	// The in-process Local that executes a job (the Client itself, or a
 	// *service.Failover's fallback) is bound to that job: its trace
@@ -361,7 +361,7 @@ func (r *runner) base(b benchprog.Benchmark, eng *machine.Engine, br *baseRun) e
 			if err != nil {
 				return fmt.Errorf("base compile+simulate: %w", err)
 			}
-			br.sim = service.ReconstructSim(resp.Sim)
+			br.sim = resp.Sim
 			br.out = resp.Output
 			br.maxCov = resp.MaxCoverage
 			br.metrics = metricsFromCounters(resp.Compile.Counters, resp.Meta)
@@ -424,18 +424,14 @@ func (r *runner) runLevel(b benchprog.Benchmark, level core.Level, eng *machine.
 		if err != nil {
 			return fmt.Errorf("%s compile+simulate: %w", level, err)
 		}
-		res, err := service.ReconstructCompile(resp.Compile)
-		if err != nil {
-			return err
-		}
-		sim := service.ReconstructSim(resp.Sim)
+		sim := resp.Sim
 		// The transformed program must print exactly what the base
 		// printed. Divergence is a correctness failure, never soft. The
 		// check is skipped only when the base job itself failed soft.
 		if br.healthy() && resp.Output != br.out {
 			return fmt.Errorf("%s output diverged from base", level)
 		}
-		lr.Compile, lr.Sim, lr.Output = res, sim, resp.Output
+		lr.Compile, lr.Sim, lr.Output = resp.Compile, sim, resp.Output
 		if br.sim != nil {
 			lr.Speedup = ratio(br.sim.Cycles, sim.Cycles)
 		}
@@ -446,7 +442,7 @@ func (r *runner) runLevel(b benchprog.Benchmark, level core.Level, eng *machine.
 		lr.Coverage = ratio(inLoops, sim.Cycles)
 		lr.Metrics = metricsFromCounters(resp.Compile.Counters, resp.Meta)
 		switch {
-		case res.Degraded():
+		case resp.Compile.Degraded:
 			lr.Status = StatusDegraded
 		case resp.Meta.Fallback:
 			lr.Status = StatusFallback
@@ -464,7 +460,7 @@ func (r *runner) runLevel(b benchprog.Benchmark, level core.Level, eng *machine.
 		return lr, nil
 	}
 	r.logger.logf("[%s] %s: %.0f cycles, speedup %.3f, %d SPT loops, coverage %.2f, status %s (compile %s, simulate %s, %d search nodes)",
-		b.Name, level, lr.Sim.Cycles, lr.Speedup, len(lr.Compile.SPT), lr.Coverage, lr.Status,
+		b.Name, level, lr.Sim.Cycles, lr.Speedup, lr.Compile.SPTCount, lr.Coverage, lr.Status,
 		fmtDur(lr.Metrics.Compile), fmtDur(lr.Metrics.Simulate), lr.Metrics.SearchNodes)
 	return lr, nil
 }
@@ -592,12 +588,25 @@ func (s *SuiteResult) Fig16(level core.Level) []Fig16Row {
 		}
 		rows = append(rows, Fig16Row{
 			Program:     r.Name,
-			SPTLoops:    len(lr.Compile.SPT),
+			SPTLoops:    lr.Compile.SPTCount,
 			Coverage:    lr.Coverage,
 			MaxCoverage: r.MaxCoverage,
 		})
 	}
 	return rows
+}
+
+// sptReports returns the reports of the transformed loops in SPT loop
+// ID order, the order the figures sum them in.
+func sptReports(c *service.CompileResponse) []*service.LoopReport {
+	var reps []*service.LoopReport
+	for i := range c.Reports {
+		if c.Reports[i].Transformed {
+			reps = append(reps, &c.Reports[i])
+		}
+	}
+	sort.Slice(reps, func(i, j int) bool { return reps[i].SPTLoopID < reps[j].SPTLoopID })
+	return reps
 }
 
 // Fig17Row characterizes the selected SPT loops of one benchmark.
@@ -620,9 +629,8 @@ func (s *SuiteResult) Fig17(level core.Level) []Fig17Row {
 		row := Fig17Row{Program: r.Name}
 		var bodySum, preSum, staticSum float64
 		n := 0
-		for _, sl := range lr.Compile.SPT {
-			rep := sl.Report
-			ls := lr.Sim.Loops[sl.ID]
+		for _, rep := range sptReports(lr.Compile) {
+			ls := lr.Sim.Loops[rep.SPTLoopID]
 			if ls != nil && ls.SpecIters > 0 {
 				bodySum += float64(ls.SpecOps) / float64(ls.SpecIters)
 			} else {
@@ -699,19 +707,18 @@ func (s *SuiteResult) Fig19(level core.Level) []Fig19Point {
 		if lr == nil || lr.Compile == nil || lr.Sim == nil {
 			continue
 		}
-		for _, sl := range lr.Compile.SPT {
-			ls := lr.Sim.Loops[sl.ID]
+		for _, rep := range sptReports(lr.Compile) {
+			ls := lr.Sim.Loops[rep.SPTLoopID]
 			if ls == nil || ls.SpecIters == 0 {
 				continue
 			}
-			rep := sl.Report
 			est := 0.0
 			if rep.BodySize > 0 {
 				est = rep.EstCost / float64(rep.BodySize)
 			}
 			pts = append(pts, Fig19Point{
 				Program:   r.Name,
-				LoopID:    sl.ID,
+				LoopID:    rep.SPTLoopID,
 				EstCost:   est,
 				Measured:  ls.ReexecRatio(),
 				HasCalls:  rep.HasCalls,

@@ -106,9 +106,9 @@ func TestSPTSpeedsUpFriendlyLoop(t *testing.T) {
 	if speedup < 1.05 {
 		t.Errorf("expected at least 5%% speedup on the speculation-friendly loop, got %.3f", speedup)
 	}
-	for _, ls := range spt.Loops {
+	for id, ls := range spt.Loops {
 		t.Logf("loop %d: iters=%d spec=%d misspec=%d reexec=%.4f speedup=%.3f",
-			ls.ID, ls.Iterations, ls.SpecIters, ls.MisspecIters, ls.ReexecRatio(), ls.LoopSpeedup())
+			id, ls.Iterations, ls.SpecIters, ls.MisspecIters, ls.ReexecRatio(), ls.LoopSpeedup())
 	}
 }
 

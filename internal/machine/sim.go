@@ -20,20 +20,21 @@ var injectRun = resilience.Register("machine.run")
 // Value aliases the interpreter's runtime value.
 type Value = interp.Value
 
-// LoopStats accumulates per-SPT-loop metrics.
+// LoopStats accumulates per-SPT-loop metrics. It is also the wire form
+// the compilation service serves (the loop ID is the Result.Loops key).
 type LoopStats struct {
-	ID           int
-	Invocations  int64
-	Iterations   int64 // total iterations executed (main + spec)
-	SpecIters    int64 // iterations executed speculatively
-	MisspecIters int64 // speculative iterations with any re-execution
-	SpecOps      int64 // instructions executed speculatively
-	ReexecOps    int64 // instructions re-executed due to misspeculation
-	SpecCycles   float64
-	ReexecCycles float64
-	SeqCycles    float64 // work cycles (what sequential execution would cost)
-	Elapsed      float64 // actual cycles attributed to the loop under SPT
-	Forks, Kills int64
+	Invocations  int64   `json:"invocations"`
+	Iterations   int64   `json:"iterations"`    // total iterations executed (main + spec)
+	SpecIters    int64   `json:"spec_iters"`    // iterations executed speculatively
+	MisspecIters int64   `json:"misspec_iters"` // speculative iterations with any re-execution
+	SpecOps      int64   `json:"spec_ops"`      // instructions executed speculatively
+	ReexecOps    int64   `json:"reexec_ops"`    // instructions re-executed due to misspeculation
+	SpecCycles   float64 `json:"spec_cycles"`
+	ReexecCycles float64 `json:"reexec_cycles"`
+	SeqCycles    float64 `json:"seq_cycles"` // work cycles (what sequential execution would cost)
+	Elapsed      float64 `json:"elapsed"`    // actual cycles attributed to the loop under SPT
+	Forks        int64   `json:"forks"`
+	Kills        int64   `json:"kills"`
 }
 
 // ReexecRatio is the fraction of speculative computation re-executed
@@ -54,20 +55,20 @@ func (l *LoopStats) LoopSpeedup() float64 {
 	return l.SeqCycles / l.Elapsed
 }
 
-// Result is the outcome of one simulation.
+// Result is the outcome of one simulation. It is also the wire form the
+// compilation service serves; CyclesByLoop stays on the executing side.
 type Result struct {
-	Cycles float64
-	Ops    int64 // dynamic instructions, excluding nops/phis/operand refs
+	Cycles        float64 `json:"cycles"`
+	Ops           int64   `json:"ops"` // dynamic instructions, excluding nops/phis/operand refs
+	BranchLookups int64   `json:"branch_lookups"`
+	BranchMisses  int64   `json:"branch_misses"`
+	MemAccesses   int64   `json:"mem_accesses"`
 
-	Loops map[int]*LoopStats
+	Loops map[int]*LoopStats `json:"loops,omitempty"`
 
 	// CyclesByLoop attributes cycles to statically identified loops when
 	// loop attribution was requested (coverage measurements).
-	CyclesByLoop map[int]float64
-
-	BranchLookups int64
-	BranchMisses  int64
-	MemAccesses   int64
+	CyclesByLoop map[int]float64 `json:"-"`
 }
 
 // IPC returns instructions per cycle.

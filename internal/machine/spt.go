@@ -146,7 +146,7 @@ func (errReturnThroughLoop) Error() string { return "return through SPT loop" }
 func (s *sim) runSPTLoop(fr *frame, header, prev *ir.Block, loopID int) (*ir.Block, *ir.Block, error) {
 	st := s.loops[loopID]
 	if st == nil {
-		st = &LoopStats{ID: loopID}
+		st = &LoopStats{}
 		s.loops[loopID] = st
 	}
 	st.Invocations++

@@ -72,14 +72,19 @@ func (r Reason) String() string {
 	return "?"
 }
 
-// ParseReason maps a Reason's String form back to the Reason.
-func ParseReason(s string) (Reason, bool) {
-	for r := ReasonNone; r <= ReasonError; r++ {
-		if r.String() == s {
-			return r, true
+// MarshalText encodes a reason as its String name (the compilation
+// service's wire form).
+func (r Reason) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText decodes a String name; an unknown name is an error.
+func (r *Reason) UnmarshalText(b []byte) error {
+	for x := ReasonNone; x <= ReasonError; x++ {
+		if x.String() == string(b) {
+			*r = x
+			return nil
 		}
 	}
-	return ReasonNone, false
+	return fmt.Errorf("resilience: unknown degradation reason %q", b)
 }
 
 // ErrBudget is returned by Budget.Spend when the work-unit allowance is

@@ -13,8 +13,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"time"
 
 	"sptc/internal/core"
@@ -78,8 +76,8 @@ type LoopReport struct {
 	Partition string `json:"partition,omitempty"`
 	SVP       bool   `json:"svp,omitempty"`
 
-	Decision string  `json:"decision"`
-	Benefit  float64 `json:"benefit"`
+	Decision core.Decision `json:"decision"`
+	Benefit  float64       `json:"benefit"`
 
 	Transformed bool    `json:"transformed,omitempty"`
 	SPTLoopID   int     `json:"spt_loop_id,omitempty"`
@@ -90,24 +88,48 @@ type LoopReport struct {
 
 // Counters is the deterministic per-request work accounting, read back
 // from the request's trace spans (CountersFromTrack); the evaluation
-// harness's per-job Metrics are built from it. With serial pass 1 (the
-// daemon default) every field is deterministic. Every partition-search
-// walker owns its cost evaluators and shares no table, so with
-// SearchWorkers >= 1 under a node budget SearchNodes, CostEvals and
-// DedupHits stay the same at every worker count; only Recomputes
-// depends on scheduling (see partition.Result).
+// harness's per-job Metrics embed it. With serial pass 1 (the daemon
+// default) every field is deterministic. Every partition-search walker
+// owns its cost evaluators and shares no table, so with SearchWorkers
+// >= 1 under a node budget SearchNodes, CostEvals and DedupHits stay the
+// same at every worker count; only Recomputes depends on scheduling (see
+// partition.Result).
 type Counters struct {
-	SearchNodes     int64 `json:"search_nodes"`
-	CostEvals       int64 `json:"cost_evals"`
-	DedupHits       int64 `json:"dedup_hits"`
-	Recomputes      int64 `json:"recomputes"`
-	SearchWorkers   int64 `json:"search_workers,omitempty"`
-	BoundUpdates    int64 `json:"bound_updates"`
+	// SearchNodes totals the branch-and-bound partition-search nodes
+	// explored across the compilation's loop candidates (0 at LevelBase,
+	// which performs no partition search).
+	SearchNodes int64 `json:"search_nodes"`
+	// CostEvals totals the §4.2.3 cost propagations the partition
+	// searches actually performed; DedupHits counts the lower bounds the
+	// searches reused from a parent bound or a record without
+	// propagating. Their sum is the number of cost queries the searches
+	// issued.
+	CostEvals int64 `json:"cost_evals"`
+	DedupHits int64 `json:"dedup_hits"`
+	// Recomputes totals the dirty dynamic nodes the incremental cost
+	// evaluator recomputed (the §4.2.3 propagation's unit of work).
+	Recomputes int64 `json:"recomputes"`
+	// SearchWorkers is the parallel branch-and-bound worker count the
+	// compile's partition searches ran with (0: classic serial search).
+	SearchWorkers int64 `json:"search_workers,omitempty"`
+	// BoundUpdates totals the incumbent improvements the searches
+	// recorded (the bound heuristic 2 prunes against).
+	BoundUpdates int64 `json:"bound_updates"`
+	// IncrHits/IncrMisses/IncrInvalidated are the incremental-compilation
+	// counters (0 unless the executing side's Env.Incr provides a
+	// loop-result store): loops whose stored partition was spliced in
+	// without re-analysis, loops compiled cold, and the subset of misses
+	// whose structural slot was seen before with a different fingerprint
+	// (the loop changed).
 	IncrHits        int64 `json:"incr_hits,omitempty"`
 	IncrMisses      int64 `json:"incr_misses,omitempty"`
 	IncrInvalidated int64 `json:"incr_invalidated,omitempty"`
-	SimOps          int64 `json:"sim_ops,omitempty"`
-	Degraded        int64 `json:"degraded,omitempty"`
+	// SimOps is the number of dynamic instructions simulated.
+	SimOps int64 `json:"sim_ops,omitempty"`
+	// Degraded counts the compile's fail-soft events (loops demoted to
+	// serial, anytime searches stopped early), read back from the
+	// "degraded" counters on the pass1 and transform spans.
+	Degraded int64 `json:"degraded,omitempty"`
 }
 
 // RespMeta is the out-of-band, non-deterministic envelope of a response:
@@ -147,25 +169,18 @@ type CompileResponse struct {
 // fields plus the error text. The panic stack stays on the executing
 // side.
 type Degradation struct {
-	Phase  string `json:"phase"`
-	Unit   string `json:"unit"`
-	Reason string `json:"reason"`
-	Error  string `json:"error,omitempty"`
-}
-
-// event rebuilds the typed event; ok is false for an unknown reason.
-func (d Degradation) event() (ev resilience.DegradationEvent, ok bool) {
-	ev = resilience.DegradationEvent{Phase: d.Phase, Unit: d.Unit}
-	ev.Reason, ok = resilience.ParseReason(d.Reason)
-	if d.Error != "" {
-		ev.Err = errors.New(d.Error)
-	}
-	return ev, ok
+	Phase  string            `json:"phase"`
+	Unit   string            `json:"unit"`
+	Reason resilience.Reason `json:"reason"`
+	Error  string            `json:"error,omitempty"`
 }
 
 // String renders the event as resilience.DegradationEvent does.
 func (d Degradation) String() string {
-	ev, _ := d.event()
+	ev := resilience.DegradationEvent{Phase: d.Phase, Unit: d.Unit, Reason: d.Reason}
+	if d.Error != "" {
+		ev.Err = errors.New(d.Error)
+	}
 	return ev.String()
 }
 
@@ -189,56 +204,9 @@ type SimulateRequest struct {
 	CoverageMaxBody int `json:"coverage_max_body,omitempty"`
 }
 
-// SimLoop is the wire form of machine.LoopStats (minus the redundant ID,
-// which is the map key).
-type SimLoop struct {
-	Invocations  int64   `json:"invocations"`
-	Iterations   int64   `json:"iterations"`
-	SpecIters    int64   `json:"spec_iters"`
-	MisspecIters int64   `json:"misspec_iters"`
-	SpecOps      int64   `json:"spec_ops"`
-	ReexecOps    int64   `json:"reexec_ops"`
-	SpecCycles   float64 `json:"spec_cycles"`
-	ReexecCycles float64 `json:"reexec_cycles"`
-	SeqCycles    float64 `json:"seq_cycles"`
-	Elapsed      float64 `json:"elapsed"`
-	Forks        int64   `json:"forks"`
-	Kills        int64   `json:"kills"`
-}
-
-// ReexecRatio mirrors machine.LoopStats.ReexecRatio.
-func (l *SimLoop) ReexecRatio() float64 {
-	if l.SpecOps == 0 {
-		return 0
-	}
-	return float64(l.ReexecOps) / float64(l.SpecOps)
-}
-
-// LoopSpeedup mirrors machine.LoopStats.LoopSpeedup.
-func (l *SimLoop) LoopSpeedup() float64 {
-	if l.Elapsed == 0 {
-		return 1
-	}
-	return l.SeqCycles / l.Elapsed
-}
-
-// SimSummary is the wire form of machine.Result.
-type SimSummary struct {
-	Cycles        float64          `json:"cycles"`
-	Ops           int64            `json:"ops"`
-	BranchLookups int64            `json:"branch_lookups"`
-	BranchMisses  int64            `json:"branch_misses"`
-	MemAccesses   int64            `json:"mem_accesses"`
-	Loops         map[int]*SimLoop `json:"loops,omitempty"`
-}
-
-// IPC mirrors machine.Result.IPC.
-func (s *SimSummary) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Ops) / s.Cycles
-}
+// SimSummary names the wire form of a simulation, which is
+// machine.Result itself.
+type SimSummary = machine.Result
 
 // SimulateResponse is the deterministic result of one compile+simulate.
 type SimulateResponse struct {
@@ -247,18 +215,18 @@ type SimulateResponse struct {
 	Compile *CompileResponse `json:"compile"`
 	// Output is the program's captured output (byte-identical across
 	// levels for a correct transformation).
-	Output string      `json:"output"`
-	Sim    *SimSummary `json:"sim"`
+	Output string          `json:"output"`
+	Sim    *machine.Result `json:"sim"`
 	// MaxCoverage is filled when CoverageMaxBody > 0 (level base only).
 	MaxCoverage float64 `json:"max_coverage,omitempty"`
 	// Base/BaseOutput are filled when Compare was set at a non-base level.
-	Base       *SimSummary `json:"base,omitempty"`
-	BaseOutput string      `json:"base_output,omitempty"`
+	Base       *machine.Result `json:"base,omitempty"`
+	BaseOutput string          `json:"base_output,omitempty"`
 
 	Meta RespMeta `json:"-"`
 }
 
-// ---- core/machine -> wire conversions ----
+// ---- core -> wire conversion ----
 
 // CompileData converts a core result to its wire form. The conversion is
 // lossless for every field the CLIs and the harness consume, so local
@@ -282,7 +250,7 @@ func CompileData(res *core.Result, dump bool) *CompileResponse {
 			AvgTrip:     r.AvgTrip,
 			VCCount:     r.VCCount,
 			SVP:         r.SVP,
-			Decision:    r.Decision.String(),
+			Decision:    r.Decision,
 			Benefit:     r.Benefit,
 			Transformed: r.Transformed,
 			SPTLoopID:   r.SPTLoopID,
@@ -296,7 +264,7 @@ func CompileData(res *core.Result, dump bool) *CompileResponse {
 		resp.Reports = append(resp.Reports, lr)
 	}
 	for _, ev := range res.Degradations {
-		d := Degradation{Phase: ev.Phase, Unit: ev.Unit, Reason: ev.Reason.String()}
+		d := Degradation{Phase: ev.Phase, Unit: ev.Unit, Reason: ev.Reason}
 		if ev.Err != nil {
 			d.Error = ev.Err.Error()
 		}
@@ -306,37 +274,6 @@ func CompileData(res *core.Result, dump bool) *CompileResponse {
 		resp.IR = ir.FormatProgram(res.Prog)
 	}
 	return resp
-}
-
-// SimData converts a machine result to its wire form.
-func SimData(sim *machine.Result) *SimSummary {
-	s := &SimSummary{
-		Cycles:        sim.Cycles,
-		Ops:           sim.Ops,
-		BranchLookups: sim.BranchLookups,
-		BranchMisses:  sim.BranchMisses,
-		MemAccesses:   sim.MemAccesses,
-	}
-	if len(sim.Loops) > 0 {
-		s.Loops = make(map[int]*SimLoop, len(sim.Loops))
-		for id, ls := range sim.Loops {
-			s.Loops[id] = &SimLoop{
-				Invocations:  ls.Invocations,
-				Iterations:   ls.Iterations,
-				SpecIters:    ls.SpecIters,
-				MisspecIters: ls.MisspecIters,
-				SpecOps:      ls.SpecOps,
-				ReexecOps:    ls.ReexecOps,
-				SpecCycles:   ls.SpecCycles,
-				ReexecCycles: ls.ReexecCycles,
-				SeqCycles:    ls.SeqCycles,
-				Elapsed:      ls.Elapsed,
-				Forks:        ls.Forks,
-				Kills:        ls.Kills,
-			}
-		}
-	}
-	return s
 }
 
 // CountersFromTrack reads the request's work counters back from its
@@ -371,94 +308,4 @@ func CountersFromTrack(tk *trace.Track) Counters {
 		c.SimOps = v
 	}
 	return c
-}
-
-// ---- wire -> core/machine reconstructions ----
-
-// ReconstructCompile rebuilds the core result skeleton the evaluation
-// harness's figure extraction reads (reports with typed decisions, the
-// SPT loop list, the typed degradation events) from a wire response.
-// IR-backed fields (Prog, Func, Header) stay nil: everything derived
-// from them travels explicitly on the wire (HasCalls, Partition
-// summaries).
-func ReconstructCompile(resp *CompileResponse) (*core.Result, error) {
-	lvl, ok := core.ParseLevel(resp.Level, true)
-	if !ok {
-		return nil, fmt.Errorf("service: response has unknown level %q", resp.Level)
-	}
-	res := &core.Result{Level: lvl}
-	for i := range resp.Reports {
-		r := &resp.Reports[i]
-		d, ok := core.ParseDecision(r.Decision)
-		if !ok {
-			return nil, fmt.Errorf("service: response has unknown decision %q", r.Decision)
-		}
-		rep := &core.LoopReport{
-			Func:        r.Func,
-			LoopID:      r.LoopID,
-			HeaderID:    r.HeaderID,
-			Depth:       r.Depth,
-			BodySize:    r.BodySize,
-			Iterations:  r.Iterations,
-			Entries:     r.Entries,
-			AvgTrip:     r.AvgTrip,
-			VCCount:     r.VCCount,
-			SVP:         r.SVP,
-			Decision:    d,
-			Benefit:     r.Benefit,
-			Transformed: r.Transformed,
-			SPTLoopID:   r.SPTLoopID,
-			EstCost:     r.EstCost,
-			PreForkSize: r.PreForkSize,
-			HasCalls:    r.HasCalls,
-		}
-		res.Reports = append(res.Reports, rep)
-		if rep.Transformed {
-			res.SPT = append(res.SPT, &core.SPTLoop{ID: rep.SPTLoopID, Report: rep})
-		}
-	}
-	for _, d := range resp.Degradations {
-		ev, ok := d.event()
-		if !ok {
-			return nil, fmt.Errorf("service: response has unknown degradation reason %q", d.Reason)
-		}
-		res.Degradations = append(res.Degradations, ev)
-	}
-	// SPT lists are ID-ordered by construction in the compiler; the
-	// report order on the wire preserves that, but sort defensively.
-	sort.Slice(res.SPT, func(i, j int) bool { return res.SPT[i].ID < res.SPT[j].ID })
-	return res, nil
-}
-
-// ReconstructSim rebuilds the machine result the harness reads from a
-// wire summary.
-func ReconstructSim(s *SimSummary) *machine.Result {
-	sim := &machine.Result{
-		Cycles:        s.Cycles,
-		Ops:           s.Ops,
-		BranchLookups: s.BranchLookups,
-		BranchMisses:  s.BranchMisses,
-		MemAccesses:   s.MemAccesses,
-	}
-	if len(s.Loops) > 0 {
-		sim.Loops = make(map[int]*machine.LoopStats, len(s.Loops))
-		for id, l := range s.Loops {
-			sim.Loops[id] = &machine.LoopStats{
-				ID:           id,
-				Invocations:  l.Invocations,
-				Iterations:   l.Iterations,
-				SpecIters:    l.SpecIters,
-				MisspecIters: l.MisspecIters,
-				SpecOps:      l.SpecOps,
-				ReexecOps:    l.ReexecOps,
-				SpecCycles:   l.SpecCycles,
-				ReexecCycles: l.ReexecCycles,
-				SeqCycles:    l.SeqCycles,
-				Elapsed:      l.Elapsed,
-				Forks:        l.Forks,
-				Kills:        l.Kills,
-			}
-		}
-	}
-	return sim
 }

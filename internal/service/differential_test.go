@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sptc/internal/core"
-	"sptc/internal/resilience"
 	"sptc/internal/splgen"
 )
 
@@ -149,75 +147,6 @@ func TestDifferentialSimulate(t *testing.T) {
 					t.Errorf("%s@%s: compare base output diverged from the base run", name, lvl)
 				}
 			}
-		}
-	}
-}
-
-// TestReconstructRoundTrip pins the harness-facing reconstruction: the
-// wire form of a reconstructed result equals the original wire form, so
-// remote figure extraction sees exactly what a local run sees. A
-// compile degraded by a 1-node search budget must come back with its
-// typed degradation events.
-func TestReconstructRoundTrip(t *testing.T) {
-	roundTrip := func(name string, req *SimulateRequest) *core.Result {
-		t.Helper()
-		resp, err := ExecSimulate(req, Env{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Through the wire, as a Remote client sees it.
-		wire, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp = new(SimulateResponse)
-		if err := json.Unmarshal(wire, resp); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-
-		res, err := ReconstructCompile(resp.Compile)
-		if err != nil {
-			t.Fatalf("%s: reconstruct: %v", name, err)
-		}
-		back := CompileData(res, false)
-		back.Name = resp.Compile.Name
-		back.Counters = resp.Compile.Counters
-		// Partition summaries are IR-derived and travel only on the
-		// wire; the reconstructed skeleton cannot re-derive them.
-		for i := range back.Reports {
-			back.Reports[i].Partition = resp.Compile.Reports[i].Partition
-			back.Reports[i].Kind = resp.Compile.Reports[i].Kind
-		}
-		gb, _ := json.Marshal(back)
-		wb, _ := json.Marshal(resp.Compile)
-		if !bytes.Equal(gb, wb) {
-			t.Errorf("%s: compile reconstruction not lossless\n got: %s\nwant: %s", name, gb, wb)
-		}
-
-		sim := ReconstructSim(resp.Sim)
-		sb, _ := json.Marshal(SimData(sim))
-		ob, _ := json.Marshal(resp.Sim)
-		if !bytes.Equal(sb, ob) {
-			t.Errorf("%s: sim reconstruction not lossless\n got: %s\nwant: %s", name, sb, ob)
-		}
-		return res
-	}
-
-	progs := corpus(3, 2)
-	for name, src := range progs {
-		for _, lvl := range allLevels {
-			roundTrip(name+"@"+lvl, &SimulateRequest{Name: name, Source: src, Level: lvl})
-		}
-	}
-
-	res := roundTrip("budget", &SimulateRequest{Name: "gen0.spl", Source: progs["gen0.spl"], Level: "best",
-		Options: ReqOptions{SearchBudget: 1}})
-	if !res.Degraded() {
-		t.Fatal("a 1-node search budget did not degrade the compile: the test checks nothing")
-	}
-	for _, ev := range res.Degradations {
-		if ev.Phase == "" || ev.Unit == "" || ev.Reason != resilience.ReasonBudget {
-			t.Errorf("degradation event lost its typed fields: %+v", ev)
 		}
 	}
 }

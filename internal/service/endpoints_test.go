@@ -146,27 +146,3 @@ func TestSimulateMachineOverride(t *testing.T) {
 		t.Errorf("8x fork overhead did not change cycles (%v)", slow.Sim.Cycles)
 	}
 }
-
-// TestWireRatios covers the wire-DTO derived quantities against their
-// definitions (mirrors of the machine package's methods).
-func TestWireRatios(t *testing.T) {
-	l := SimLoop{SpecOps: 10, ReexecOps: 2, SeqCycles: 30, Elapsed: 15}
-	if got := l.ReexecRatio(); got != 0.2 {
-		t.Errorf("ReexecRatio = %v, want 0.2", got)
-	}
-	if got := l.LoopSpeedup(); got != 2 {
-		t.Errorf("LoopSpeedup = %v, want 2", got)
-	}
-	s := SimSummary{Ops: 100, Cycles: 50}
-	if got := s.IPC(); got != 2 {
-		t.Errorf("IPC = %v, want 2", got)
-	}
-	var zero SimLoop
-	if zero.ReexecRatio() != 0 || zero.LoopSpeedup() != 1 {
-		t.Error("zero-valued loop ratios must be 0 and 1, not NaN")
-	}
-	var zs SimSummary
-	if zs.IPC() != 0 {
-		t.Error("zero-cycle IPC must be 0, not NaN")
-	}
-}

@@ -176,7 +176,7 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 		Level:   lvl.String(),
 		Compile: CompileData(res, req.Options.Dump),
 		Output:  out.String(),
-		Sim:     SimData(sim),
+		Sim:     sim,
 	}
 	resp.Compile.Name = req.Name
 	if req.CoverageMaxBody > 0 {
@@ -202,7 +202,7 @@ func ExecSimulate(req *SimulateRequest, env Env) (*SimulateResponse, error) {
 		if err != nil {
 			return nil, fmt.Errorf("base simulate: %w", err)
 		}
-		resp.Base = SimData(baseSim)
+		resp.Base = baseSim
 		resp.BaseOutput = bout.String()
 	}
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sptc/internal/core"
+	"sptc/internal/resilience"
 	"sptc/internal/trace"
 )
 
@@ -89,5 +91,72 @@ func TestWireGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("wire bytes diverged from %s\n got: %s\nwant: %s", path, got.Bytes(), want)
+	}
+}
+
+// TestWireRoundTrip decodes responses as a Remote client does and
+// requires re-encoding to give the same bytes on a generated corpus at
+// every level: every decision and reason name the executor writes
+// decodes to its typed value. A compile degraded by a 1-node search
+// budget must come back with its typed degradation events.
+func TestWireRoundTrip(t *testing.T) {
+	roundTrip := func(name string, req *SimulateRequest) *SimulateResponse {
+		t.Helper()
+		resp, err := ExecSimulate(req, Env{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wire, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := new(SimulateResponse)
+		if err := json.Unmarshal(wire, back); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, wire) {
+			t.Errorf("%s: round trip not lossless\n got: %s\nwant: %s", name, again, wire)
+		}
+		return back
+	}
+
+	progs := corpus(3, 2)
+	for name, src := range progs {
+		for _, lvl := range allLevels {
+			roundTrip(name+"@"+lvl, &SimulateRequest{Name: name, Source: src, Level: lvl})
+		}
+	}
+
+	resp := roundTrip("budget", &SimulateRequest{Name: "gen0.spl", Source: progs["gen0.spl"], Level: "best",
+		Options: ReqOptions{SearchBudget: 1}})
+	if !resp.Compile.Degraded || len(resp.Compile.Degradations) == 0 {
+		t.Fatal("a 1-node search budget did not degrade the compile: the test checks nothing")
+	}
+	for _, ev := range resp.Compile.Degradations {
+		if ev.Phase == "" || ev.Unit == "" || ev.Reason != resilience.ReasonBudget {
+			t.Errorf("degradation event lost its typed fields: %+v", ev)
+		}
+	}
+}
+
+// TestWireRejectsUnknownNames: a response naming a loop decision or a
+// degradation reason this build does not know fails to decode instead
+// of decoding to a zero value.
+func TestWireRejectsUnknownNames(t *testing.T) {
+	var ok CompileResponse
+	if err := json.Unmarshal([]byte(`{"reports":[{"decision":"overlap"}],"degradations":[{"reason":"budget"}]}`), &ok); err != nil {
+		t.Fatalf("known names: %v", err)
+	}
+	if ok.Reports[0].Decision != core.DecisionNested || ok.Degradations[0].Reason != resilience.ReasonBudget {
+		t.Errorf("known names decoded to %v/%v", ok.Reports[0].Decision, ok.Degradations[0].Reason)
+	}
+	for _, body := range []string{
+		`{"reports":[{"decision":"hyperselected"}]}`,
+		`{"degradations":[{"reason":"gremlins"}]}`,
+	} {
+		var resp CompileResponse
+		if err := json.Unmarshal([]byte(body), &resp); err == nil {
+			t.Errorf("decode %s: no error", body)
+		}
 	}
 }
