@@ -39,7 +39,8 @@ var layoutMu sync.Mutex
 
 // Run simulates the program to completion on the bytecode engine,
 // reusing the engine's pooled state. A program the engine cannot lower
-// fails with a *LoweringError.
+// fails with a *LoweringError, and a LoopBlocks set that holds a
+// returning block with a *LoopBlocksError.
 func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, error) {
 	if opt.Out == nil {
 		opt.Out = io.Discard
@@ -47,6 +48,10 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 	sp := opt.Trace.Start("simulate")
 	defer sp.End()
 	if err := cfg.Validate(); err != nil {
+		sp.Str("error", err.Error())
+		return nil, err
+	}
+	if err := checkLoopBlocks(opt.LoopBlocks); err != nil {
 		sp.Str("error", err.Error())
 		return nil, err
 	}

@@ -112,9 +112,6 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 					exit, exitPrev, err := s.runSPTLoop(fr, b, prevBlk, id)
 					cycles, ops, steps, memCycles = s.cycles, s.ops, s.steps, s.memCycles
 					vs = s.vstack[:cap(s.vstack)]
-					if rt, ok := err.(errReturnThroughLoop); ok {
-						return execOutcome{ret: true, retVal: rt.val, retTaint: rt.taint}, nil
-					}
 					if err != nil {
 						return execOutcome{}, err
 					}

@@ -1,7 +1,7 @@
 package machine_test
 
 import (
-	"fmt"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -211,11 +211,8 @@ func TestAttributionIsPureObserver(t *testing.T) {
 //	      b2: goto b1
 //	      b3: return i2 * 10
 //
-// The return block b3 is listed among the loop's blocks, as a
-// RunOptions.LoopBlocks set may do, so the iteration that reaches it
-// leaves the function from inside the SPT runner (errReturnThroughLoop).
-// A compiled program never takes that path: a return block cannot reach
-// its loop's header, so it is never part of a natural loop.
+// The return block b3 is listed among the loop's blocks, which no
+// natural loop does: a return block cannot reach its loop's header.
 func returnThroughLoop(limit int64) (*ir.Program, machine.RunOptions) {
 	prog := ir.NewProgram()
 	f := prog.NewFunc("find", ir.ValInt)
@@ -278,27 +275,29 @@ func returnThroughLoop(limit int64) (*ir.Program, machine.RunOptions) {
 	}
 }
 
-// TestEngineFidelityReturnThroughLoop holds the engines bit-identical on
-// a return from inside an SPT loop body, taken once from a speculative
-// leg (the 40th iteration is the second of a pair) and once from a main
-// leg (the 41st), and checks the returned value reaches the caller.
+// TestEngineFidelityReturnThroughLoop: both engines reject a loop
+// block set holding a returning block with the same typed error, before
+// the program runs (nothing is printed).
 func TestEngineFidelityReturnThroughLoop(t *testing.T) {
-	for _, limit := range []int64{40, 41} {
-		var results [2]*machine.Result
-		var outs [2]string
-		for i, eng := range bothEngines {
-			prog, ro := returnThroughLoop(limit)
-			var out strings.Builder
-			ro.Out = &out
-			res, err := eng.new().Run(prog, machine.DefaultConfig(), ro)
-			if err != nil {
-				t.Fatalf("limit %d, %s: %v", limit, eng.name, err)
-			}
-			if want := fmt.Sprintf("%d\n", limit*10); out.String() != want {
-				t.Errorf("limit %d, %s: printed %q, want %q", limit, eng.name, out.String(), want)
-			}
-			results[i], outs[i] = res, out.String()
+	var msgs [2]string
+	for i, eng := range bothEngines {
+		prog, ro := returnThroughLoop(40)
+		var out strings.Builder
+		ro.Out = &out
+		_, err := eng.new().Run(prog, machine.DefaultConfig(), ro)
+		var le *machine.LoopBlocksError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s: err = %v, want a *machine.LoopBlocksError", eng.name, err)
 		}
-		requireIdentical(t, fmt.Sprintf("limit %d", limit), results[0], results[1], outs[0], outs[1])
+		if le.Header != 1 || le.Block != 3 {
+			t.Errorf("%s: rejected loop b%d block b%d, want loop b1 block b3", eng.name, le.Header, le.Block)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed %q before rejecting the run", eng.name, out.String())
+		}
+		msgs[i] = err.Error()
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("engines disagree on the error: %q vs %q", msgs[0], msgs[1])
 	}
 }

@@ -89,7 +89,8 @@ type RunOptions struct {
 	// wins). Used for coverage measurements.
 	AttributeLoops map[*ir.Block]int
 	// LoopBlocks gives the block membership for every header in
-	// SPTHeaders and AttributeLoops.
+	// SPTHeaders and AttributeLoops. A set may not hold a block that
+	// returns (see LoopBlocksError).
 	LoopBlocks map[*ir.Block]map[*ir.Block]bool
 	Out        io.Writer
 	// Trace receives one span covering the whole run, carrying the

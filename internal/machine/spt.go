@@ -97,11 +97,6 @@ func (s *sim) runIteration(it *iterRun, fr *frame, from, prev *ir.Block, mainLeg
 	if err != nil {
 		return err
 	}
-	if out.ret {
-		// A return from inside the loop leaves the function entirely; the
-		// SPT runner treats it as an exit with the value propagated.
-		return errReturnThroughLoop{out.retVal, out.retTaint}
-	}
 	it.cycles = s.cycles - c0
 	it.memCycles = s.memCycles - m0
 	if it.forked {
@@ -131,14 +126,31 @@ func (s *sim) onFork(fr *frame) {
 	s.undoActive = true
 }
 
-// errReturnThroughLoop unwinds a function return that happened inside an
-// SPT loop body back to the SPT runner.
-type errReturnThroughLoop struct {
-	val   Value
-	taint bool
+// LoopBlocksError reports a RunOptions.LoopBlocks set that holds a
+// returning block. The SPT runner executes a loop one iteration at a
+// time and has no exit for a return from inside one. A natural loop
+// never holds a return block (it cannot reach the loop header), so only
+// a hand-built set does; Run rejects it before executing anything.
+type LoopBlocksError struct {
+	Header int // the loop header's block ID
+	Block  int // the returning block's ID
 }
 
-func (errReturnThroughLoop) Error() string { return "return through SPT loop" }
+func (e *LoopBlocksError) Error() string {
+	return fmt.Sprintf("machine: loop b%d: block b%d returns from inside the loop", e.Header, e.Block)
+}
+
+// checkLoopBlocks rejects loop block sets that hold a returning block.
+func checkLoopBlocks(sets map[*ir.Block]map[*ir.Block]bool) error {
+	for hdr, blocks := range sets {
+		for b := range blocks {
+			if t := b.Terminator(); t != nil && t.Kind == ir.StmtRet {
+				return &LoopBlocksError{Header: hdr.ID, Block: b.ID}
+			}
+		}
+	}
+	return nil
+}
 
 // runSPTLoop executes one dynamic instance of an SPT loop in the paper's
 // pairwise execution model. It returns the exit block and the

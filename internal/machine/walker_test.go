@@ -32,9 +32,6 @@ func (s *sim) exec(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, error
 		// context, and only when not already inside an SPT region.
 		if id, ok := s.spt[blk]; ok && !s.sptActive {
 			exit, exitPrev, err := s.runSPTLoop(fr, blk, prev, id)
-			if rt, ok := err.(errReturnThroughLoop); ok {
-				return execOutcome{ret: true, retVal: rt.val, retTaint: rt.taint}, nil
-			}
 			if err != nil {
 				return execOutcome{}, err
 			}
