@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"sptc/internal/cliutil"
+	"sptc/internal/core"
 	"sptc/internal/evalharness"
 	"sptc/internal/service"
 	"sptc/internal/trace"
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	lvl, ok := cliutil.ParseLevel(*level, false)
+	lvl, ok := core.ParseLevel(*level, false)
 	if !ok {
 		fmt.Fprintf(stderr, "sptbench: unknown level %q\n", *level)
 		return 2

@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"sptc/internal/cliutil"
+	"sptc/internal/core"
 	"sptc/internal/service"
 	"sptc/internal/trace"
 )
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	lvl, ok := cliutil.ParseLevel(*level, true)
+	lvl, ok := core.ParseLevel(*level, true)
 	if !ok {
 		fmt.Fprintf(stderr, "sptc: unknown level %q\n", *level)
 		return 2

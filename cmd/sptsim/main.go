@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"sptc/internal/cliutil"
+	"sptc/internal/core"
 	"sptc/internal/service"
 	"sptc/internal/trace"
 )
@@ -55,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	lvl, ok := cliutil.ParseLevel(*level, true)
+	lvl, ok := core.ParseLevel(*level, true)
 	if !ok {
 		fmt.Fprintf(stderr, "sptsim: unknown level %q\n", *level)
 		return 2

@@ -12,7 +12,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"sptc/internal/core"
 	"sptc/internal/incr"
 	"sptc/internal/resilience"
 	"sptc/internal/service"
@@ -236,10 +235,4 @@ func (s *Server) Client(ctx context.Context, env service.Env) service.Client {
 	}
 	env.Context = ctx
 	return &service.Failover{Remote: r, Local: &service.Local{Env: env}}
-}
-
-// ParseLevel maps the CLI level names to core levels; ok is false for an
-// unknown name. allowBase admits the non-SPT reference level.
-func ParseLevel(name string, allowBase bool) (core.Level, bool) {
-	return core.ParseLevel(name, allowBase)
 }

@@ -9,35 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"sptc/internal/core"
 	"sptc/internal/resilience"
 	"sptc/internal/service"
 	"sptc/internal/trace"
 )
-
-func TestParseLevel(t *testing.T) {
-	cases := []struct {
-		name      string
-		allowBase bool
-		want      core.Level
-		ok        bool
-	}{
-		{"base", true, core.LevelBase, true},
-		{"base", false, 0, false},
-		{"basic", false, core.LevelBasic, true},
-		{"best", false, core.LevelBest, true},
-		{"anticipated", true, core.LevelAnticipated, true},
-		{"turbo", true, 0, false},
-		{"", true, 0, false},
-	}
-	for _, tc := range cases {
-		got, ok := ParseLevel(tc.name, tc.allowBase)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("ParseLevel(%q, %v) = (%v, %v), want (%v, %v)",
-				tc.name, tc.allowBase, got, ok, tc.want, tc.ok)
-		}
-	}
-}
 
 func TestExportTrace(t *testing.T) {
 	tr := trace.New()

@@ -329,3 +329,27 @@ func main() {
 		t.Fatal("expected at least one SPT loop to be selected")
 	}
 }
+
+func TestParseLevel(t *testing.T) {
+	cases := []struct {
+		name      string
+		allowBase bool
+		want      core.Level
+		ok        bool
+	}{
+		{"base", true, core.LevelBase, true},
+		{"base", false, 0, false},
+		{"basic", false, core.LevelBasic, true},
+		{"best", false, core.LevelBest, true},
+		{"anticipated", true, core.LevelAnticipated, true},
+		{"turbo", true, 0, false},
+		{"", true, 0, false},
+	}
+	for _, tc := range cases {
+		got, ok := core.ParseLevel(tc.name, tc.allowBase)
+		if ok != tc.ok || (ok && got != tc.want) {
+			t.Errorf("ParseLevel(%q, %v) = (%v, %v), want (%v, %v)",
+				tc.name, tc.allowBase, got, ok, tc.want, tc.ok)
+		}
+	}
+}
