@@ -35,61 +35,56 @@ type Local struct {
 
 // Compile implements Client.
 func (l *Local) Compile(req *CompileRequest) (*CompileResponse, error) {
-	if l.Cache == nil {
-		return ExecCompile(req, l.Env)
-	}
-	var meta RespMeta
-	data, disp, err := l.Cache.GetOrCompute(CompileKey(req), func() ([]byte, bool, error) {
-		resp, err := ExecCompile(req, l.Env)
-		if err != nil {
-			return nil, false, err
-		}
-		meta = resp.Meta
-		b, merr := json.Marshal(resp)
-		if merr != nil {
-			return nil, false, merr
-		}
-		return b, !resp.Degraded, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := new(CompileResponse)
-	if err := json.Unmarshal(data, resp); err != nil {
-		return nil, err
-	}
-	resp.Meta = meta
-	resp.Meta.Cache = disp
-	return resp, nil
+	return serveLocal(l, req, CompileKey, ExecCompile)
 }
 
 // Simulate implements Client.
 func (l *Local) Simulate(req *SimulateRequest) (*SimulateResponse, error) {
+	return serveLocal(l, req, SimulateKey, ExecSimulate)
+}
+
+// response is a pointer to a response type: its out-of-band meta, and
+// whether a cache may keep it (a degraded compile is not kept).
+type response[R any] interface {
+	*R
+	meta() *RespMeta
+	cacheable() bool
+}
+
+func (r *CompileResponse) meta() *RespMeta  { return &r.Meta }
+func (r *CompileResponse) cacheable() bool  { return !r.Degraded }
+func (r *SimulateResponse) meta() *RespMeta { return &r.Meta }
+func (r *SimulateResponse) cacheable() bool { return !r.Compile.Degraded }
+
+// serveLocal executes req in l's environment, through l's cache when it
+// has one: a cached response is decoded from the stored bytes, with the
+// durations of the execution that produced them and the disposition.
+func serveLocal[Q any, R any, P response[R]](l *Local, req Q, key func(Q) CacheKey, exec func(Q, Env) (P, error)) (P, error) {
 	if l.Cache == nil {
-		return ExecSimulate(req, l.Env)
+		return exec(req, l.Env)
 	}
 	var meta RespMeta
-	data, disp, err := l.Cache.GetOrCompute(SimulateKey(req), func() ([]byte, bool, error) {
-		resp, err := ExecSimulate(req, l.Env)
+	data, disp, err := l.Cache.GetOrCompute(key(req), func() ([]byte, bool, error) {
+		resp, err := exec(req, l.Env)
 		if err != nil {
 			return nil, false, err
 		}
-		meta = resp.Meta
+		meta = *resp.meta()
 		b, merr := json.Marshal(resp)
 		if merr != nil {
 			return nil, false, merr
 		}
-		return b, !resp.Compile.Degraded, nil
+		return b, resp.cacheable(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp := new(SimulateResponse)
+	resp := P(new(R))
 	if err := json.Unmarshal(data, resp); err != nil {
 		return nil, err
 	}
-	resp.Meta = meta
-	resp.Meta.Cache = disp
+	*resp.meta() = meta
+	resp.meta().Cache = disp
 	return resp, nil
 }
 

@@ -153,50 +153,37 @@ func (f *Failover) ForJob(ctx context.Context, local *Local) *Failover {
 
 // Compile implements Client.
 func (f *Failover) Compile(req *CompileRequest) (*CompileResponse, error) {
-	b := f.breaker()
-	if !b.Allow() {
-		resp, err := f.Local.Compile(req)
-		if resp != nil {
-			resp.Meta.Fallback = true
-		}
-		return resp, err
-	}
-	resp, err := f.Remote.Compile(req)
-	if err == nil || !TransportFailure(err) {
-		b.Success()
-		return resp, err
-	}
-	b.Failure()
-	retries := ErrorRetries(err)
-	lresp, lerr := f.Local.Compile(req)
-	if lresp != nil {
-		lresp.Meta.Fallback = true
-		lresp.Meta.Retries = retries
-	}
-	return lresp, lerr
+	return failover(f, req, Client.Compile)
 }
 
 // Simulate implements Client.
 func (f *Failover) Simulate(req *SimulateRequest) (*SimulateResponse, error) {
+	return failover(f, req, Client.Simulate)
+}
+
+// failover sends req through call to the Remote while the breaker
+// allows it, and to the Local when the breaker is open or the Remote
+// fails in transport.
+func failover[Q any, R any, P response[R]](f *Failover, req Q, call func(Client, Q) (P, error)) (P, error) {
 	b := f.breaker()
 	if !b.Allow() {
-		resp, err := f.Local.Simulate(req)
+		resp, err := call(f.Local, req)
 		if resp != nil {
-			resp.Meta.Fallback = true
+			resp.meta().Fallback = true
 		}
 		return resp, err
 	}
-	resp, err := f.Remote.Simulate(req)
+	resp, err := call(f.Remote, req)
 	if err == nil || !TransportFailure(err) {
 		b.Success()
 		return resp, err
 	}
 	b.Failure()
 	retries := ErrorRetries(err)
-	lresp, lerr := f.Local.Simulate(req)
+	lresp, lerr := call(f.Local, req)
 	if lresp != nil {
-		lresp.Meta.Fallback = true
-		lresp.Meta.Retries = retries
+		lresp.meta().Fallback = true
+		lresp.meta().Retries = retries
 	}
 	return lresp, lerr
 }
