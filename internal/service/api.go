@@ -8,7 +8,10 @@
 // Response bodies carry only deterministic data — reports, simulation
 // counters, degradation events — so a cached response is byte-identical
 // to a freshly computed one. Wall-clock durations and the cache
-// disposition travel out-of-band (HTTP headers, RespMeta).
+// disposition travel out-of-band (HTTP headers, RespMeta). A response is
+// the one form its consumers read: the simulation statistics are
+// machine.Result itself, and loop decisions and degradation reasons are
+// the typed core and resilience values, encoded as their String names.
 package service
 
 import (
