@@ -57,8 +57,9 @@ func (r *SimulateResponse) meta() *RespMeta { return &r.Meta }
 func (r *SimulateResponse) cacheable() bool { return !r.Compile.Degraded }
 
 // serveLocal executes req in l's environment, through l's cache when it
-// has one: a cached response is decoded from the stored bytes, with the
-// durations of the execution that produced them and the disposition.
+// has one: the response is then decoded from the cached bytes, and its
+// meta carries this call's execution durations (zero on a hit) and the
+// cache disposition.
 func serveLocal[Q any, R any, P response[R]](l *Local, req Q, key func(Q) CacheKey, exec func(Q, Env) (P, error)) (P, error) {
 	if l.Cache == nil {
 		return exec(req, l.Env)
