@@ -126,7 +126,9 @@ func TestFuzzPipelineSemantics(t *testing.T) {
 // and an early return from a loop of a called function, taken at a
 // different iteration on every call (return-through-loop.spl; the
 // return block lies outside the natural loop, so it leaves through an
-// ordinary loop exit).
+// ordinary loop exit), and a float global the SPT loop flips between
+// +0.0 and -0.0 after the fork (signed-zero.spl; the simulator counts
+// each sign change as a violation, and the output must not change).
 func TestDifferentialEdgeCases(t *testing.T) {
 	for _, c := range edgeCases(t) {
 		c := c

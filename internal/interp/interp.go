@@ -16,18 +16,24 @@ import (
 	"sptc/internal/ir"
 )
 
-// Value is one runtime scalar. Exactly one of I/F is meaningful,
-// determined by the static kind of the variable or memory cell.
-type Value struct {
-	I int64
-	F float64
-}
+// Value is one runtime scalar in one 8-byte word. The static kind of
+// the variable, memory cell or op that holds it says how to read it: an
+// integer is stored as-is, a float as its IEEE 754 bits. Two Values are
+// equal when their bits are, so +0.0 and -0.0 differ and a NaN equals a
+// NaN with the same payload. The zero Value reads as 0 and as +0.0.
+type Value uint64
 
 // IntVal makes an integer Value.
-func IntVal(i int64) Value { return Value{I: i} }
+func IntVal(i int64) Value { return Value(i) }
 
 // FloatVal makes a float Value.
-func FloatVal(f float64) Value { return Value{F: f} }
+func FloatVal(f float64) Value { return Value(math.Float64bits(f)) }
+
+// Int reads v as an integer.
+func (v Value) Int() int64 { return int64(v) }
+
+// Float reads v as a float.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v)) }
 
 // Hooks receives execution events. Any field may be nil.
 type Hooks struct {
@@ -114,7 +120,7 @@ func New(prog *ir.Program, out io.Writer) *Machine {
 // Run executes main and returns its result (zero Value for void).
 func (m *Machine) Run() (Value, error) {
 	if m.Prog.Main == nil {
-		return Value{}, errors.New("interp: program has no main")
+		return 0, errors.New("interp: program has no main")
 	}
 	return m.Call(m.Prog.Main, nil, nil)
 }
@@ -127,7 +133,7 @@ func (m *Machine) Call(f *ir.Func, args []Value, caller *Frame) (Value, error) {
 		fr.Depth = caller.Depth + 1
 	}
 	if fr.Depth > 10000 {
-		return Value{}, fmt.Errorf("interp: call stack overflow in %s", f.Name)
+		return 0, fmt.Errorf("interp: call stack overflow in %s", f.Name)
 	}
 	base, n := m.sp, f.NumVars()
 	if base+n > len(m.stack) {
@@ -161,12 +167,12 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 		if len(phis) > 0 && prev != nil {
 			pi := blk.PredIndex(prev)
 			if pi < 0 {
-				return Value{}, fmt.Errorf("interp: %s: b%d entered from non-predecessor b%d", f.Name, blk.ID, prev.ID)
+				return 0, fmt.Errorf("interp: %s: b%d entered from non-predecessor b%d", f.Name, blk.ID, prev.ID)
 			}
 			vals := m.phiVals[:0]
 			for _, phi := range phis {
 				if pi >= len(phi.PhiArgs) {
-					return Value{}, fmt.Errorf("interp: %s: phi arity mismatch in b%d", f.Name, blk.ID)
+					return 0, fmt.Errorf("interp: %s: phi arity mismatch in b%d", f.Name, blk.ID)
 				}
 				vals = append(vals, fr.Regs[phi.PhiArgs[pi].ID])
 			}
@@ -183,11 +189,11 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 		for _, s := range blk.Stmts[len(phis):] {
 			m.Steps++
 			if m.Steps > m.MaxSteps {
-				return Value{}, ErrStepLimit
+				return 0, ErrStepLimit
 			}
 			if m.Ctx != nil && m.Steps%ctxPollSteps == 0 {
 				if err := m.Ctx.Err(); err != nil {
-					return Value{}, err
+					return 0, err
 				}
 			}
 			if m.Hooks.OnStmt != nil {
@@ -197,7 +203,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			case ir.StmtAssign:
 				v, err := m.eval(fr, s, s.RHS)
 				if err != nil {
-					return Value{}, err
+					return 0, err
 				}
 				fr.Regs[s.Dst.ID] = v
 				if m.Hooks.OnDef != nil {
@@ -206,7 +212,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			case ir.StmtStoreG:
 				v, err := m.eval(fr, s, s.RHS)
 				if err != nil {
-					return Value{}, err
+					return 0, err
 				}
 				m.Mem[s.G.Addr] = v
 				if m.Hooks.OnStore != nil {
@@ -215,11 +221,11 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			case ir.StmtStoreA:
 				addr, err := m.elemAddr(fr, s, s.G, s.Index)
 				if err != nil {
-					return Value{}, err
+					return 0, err
 				}
 				v, err := m.eval(fr, s, s.RHS)
 				if err != nil {
-					return Value{}, err
+					return 0, err
 				}
 				m.Mem[addr] = v
 				if m.Hooks.OnStore != nil {
@@ -227,7 +233,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 				}
 			case ir.StmtCall:
 				if _, err := m.eval(fr, s, s.RHS); err != nil {
-					return Value{}, err
+					return 0, err
 				}
 			case ir.StmtRet:
 				var v Value
@@ -235,7 +241,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 					var err error
 					v, err = m.eval(fr, s, s.RHS)
 					if err != nil {
-						return Value{}, err
+						return 0, err
 					}
 				}
 				if m.Hooks.OnExit != nil {
@@ -245,7 +251,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			case ir.StmtIf:
 				v, err := m.eval(fr, s, s.RHS)
 				if err != nil {
-					return Value{}, err
+					return 0, err
 				}
 				next := blk.Succs[1]
 				if isTrue(v, s.RHS.Type) {
@@ -267,12 +273,12 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 				// Functionally, SPT fork/kill are no-ops: speculation
 				// only affects timing. The machine simulator models them.
 			case ir.StmtPhi:
-				return Value{}, fmt.Errorf("interp: %s: phi not at block head (b%d)", f.Name, blk.ID)
+				return 0, fmt.Errorf("interp: %s: phi not at block head (b%d)", f.Name, blk.ID)
 			default:
-				return Value{}, fmt.Errorf("interp: %s: invalid statement kind %s", f.Name, s.Kind)
+				return 0, fmt.Errorf("interp: %s: invalid statement kind %s", f.Name, s.Kind)
 			}
 		}
-		return Value{}, fmt.Errorf("interp: %s: block b%d fell through without terminator", f.Name, blk.ID)
+		return 0, fmt.Errorf("interp: %s: block b%d fell through without terminator", f.Name, blk.ID)
 	nextBlock:
 		continue
 	}
@@ -280,9 +286,9 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 
 func isTrue(v Value, k ir.ValKind) bool {
 	if k == ir.ValFloat {
-		return v.F != 0
+		return v.Float() != 0
 	}
-	return v.I != 0
+	return v.Int() != 0
 }
 
 func (m *Machine) elemAddr(fr *Frame, s *ir.Stmt, g *ir.Global, index []*ir.Op) (int, error) {
@@ -295,7 +301,7 @@ func (m *Machine) elemAddr(fr *Frame, s *ir.Stmt, g *ir.Global, index []*ir.Op) 
 		if err != nil {
 			return 0, err
 		}
-		i := int(v.I)
+		i := int(v.Int())
 		if i < 0 || i >= g.Dims[d] {
 			return 0, fmt.Errorf("interp: %s: index %d out of range [0,%d) for %s (stmt s%d)",
 				fr.Func.Name, i, g.Dims[d], g.Name, s.ID)
@@ -312,7 +318,7 @@ func (m *Machine) eval(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	case ir.OpConstFloat:
 		return FloatVal(o.ConstF), nil
 	case ir.OpConstStr:
-		return Value{}, nil
+		return 0, nil
 	case ir.OpUseVar:
 		return fr.Regs[o.Var.ID], nil
 	case ir.OpLoadG:
@@ -323,7 +329,7 @@ func (m *Machine) eval(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	case ir.OpLoadA:
 		addr, err := m.elemAddr(fr, s, o.G, o.Args)
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
 		if m.Hooks.OnLoad != nil {
 			m.Hooks.OnLoad(fr, s, o, addr)
@@ -332,51 +338,51 @@ func (m *Machine) eval(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	case ir.OpBin:
 		x, err := m.eval(fr, s, o.Args[0])
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
 		y, err := m.eval(fr, s, o.Args[1])
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
 		return evalBin(fr, s, o, x, y)
 	case ir.OpUn:
 		x, err := m.eval(fr, s, o.Args[0])
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
 		switch o.Un {
 		case ir.UnNeg:
 			if o.Type == ir.ValFloat {
-				return FloatVal(-x.F), nil
+				return FloatVal(-x.Float()), nil
 			}
-			return IntVal(-x.I), nil
+			return IntVal(-x.Int()), nil
 		case ir.UnNot:
 			if isTrue(x, o.Args[0].Type) {
 				return IntVal(0), nil
 			}
 			return IntVal(1), nil
 		case ir.UnBitNot:
-			return IntVal(^x.I), nil
+			return IntVal(^x.Int()), nil
 		}
 	case ir.OpCast:
 		x, err := m.eval(fr, s, o.Args[0])
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
 		if o.Type == ir.ValFloat {
 			if o.Args[0].Type == ir.ValFloat {
 				return x, nil
 			}
-			return FloatVal(float64(x.I)), nil
+			return FloatVal(float64(x.Int())), nil
 		}
 		if o.Args[0].Type == ir.ValFloat {
-			return IntVal(int64(x.F)), nil
+			return IntVal(int64(x.Float())), nil
 		}
 		return x, nil
 	case ir.OpCall:
 		return m.evalCall(fr, s, o)
 	}
-	return Value{}, fmt.Errorf("interp: invalid op kind %d", o.Kind)
+	return 0, fmt.Errorf("interp: invalid op kind %d", o.Kind)
 }
 
 func evalBin(fr *Frame, s *ir.Stmt, o *ir.Op, x, y Value) (Value, error) {
@@ -390,76 +396,76 @@ func evalBin(fr *Frame, s *ir.Stmt, o *ir.Op, x, y Value) (Value, error) {
 	if lf {
 		switch o.Bin {
 		case ir.BinAdd:
-			return FloatVal(x.F + y.F), nil
+			return FloatVal(x.Float() + y.Float()), nil
 		case ir.BinSub:
-			return FloatVal(x.F - y.F), nil
+			return FloatVal(x.Float() - y.Float()), nil
 		case ir.BinMul:
-			return FloatVal(x.F * y.F), nil
+			return FloatVal(x.Float() * y.Float()), nil
 		case ir.BinDiv:
-			if y.F == 0 {
-				return Value{}, fmt.Errorf("interp: %s: float division by zero (stmt s%d)", fr.Func.Name, s.ID)
+			if y.Float() == 0 {
+				return 0, fmt.Errorf("interp: %s: float division by zero (stmt s%d)", fr.Func.Name, s.ID)
 			}
-			return FloatVal(x.F / y.F), nil
+			return FloatVal(x.Float() / y.Float()), nil
 		case ir.BinEq:
-			return b2i(x.F == y.F), nil
+			return b2i(x.Float() == y.Float()), nil
 		case ir.BinNeq:
-			return b2i(x.F != y.F), nil
+			return b2i(x.Float() != y.Float()), nil
 		case ir.BinLt:
-			return b2i(x.F < y.F), nil
+			return b2i(x.Float() < y.Float()), nil
 		case ir.BinLeq:
-			return b2i(x.F <= y.F), nil
+			return b2i(x.Float() <= y.Float()), nil
 		case ir.BinGt:
-			return b2i(x.F > y.F), nil
+			return b2i(x.Float() > y.Float()), nil
 		case ir.BinGeq:
-			return b2i(x.F >= y.F), nil
+			return b2i(x.Float() >= y.Float()), nil
 		}
-		return Value{}, fmt.Errorf("interp: %s: operator %s on float operands", fr.Func.Name, o.Bin)
+		return 0, fmt.Errorf("interp: %s: operator %s on float operands", fr.Func.Name, o.Bin)
 	}
 	switch o.Bin {
 	case ir.BinAdd:
-		return IntVal(x.I + y.I), nil
+		return IntVal(x.Int() + y.Int()), nil
 	case ir.BinSub:
-		return IntVal(x.I - y.I), nil
+		return IntVal(x.Int() - y.Int()), nil
 	case ir.BinMul:
-		return IntVal(x.I * y.I), nil
+		return IntVal(x.Int() * y.Int()), nil
 	case ir.BinDiv:
-		if y.I == 0 {
-			return Value{}, fmt.Errorf("interp: %s: integer division by zero (stmt s%d)", fr.Func.Name, s.ID)
+		if y.Int() == 0 {
+			return 0, fmt.Errorf("interp: %s: integer division by zero (stmt s%d)", fr.Func.Name, s.ID)
 		}
-		return IntVal(x.I / y.I), nil
+		return IntVal(x.Int() / y.Int()), nil
 	case ir.BinRem:
-		if y.I == 0 {
-			return Value{}, fmt.Errorf("interp: %s: integer remainder by zero (stmt s%d)", fr.Func.Name, s.ID)
+		if y.Int() == 0 {
+			return 0, fmt.Errorf("interp: %s: integer remainder by zero (stmt s%d)", fr.Func.Name, s.ID)
 		}
-		return IntVal(x.I % y.I), nil
+		return IntVal(x.Int() % y.Int()), nil
 	case ir.BinAnd:
-		return IntVal(x.I & y.I), nil
+		return IntVal(x.Int() & y.Int()), nil
 	case ir.BinOr:
-		return IntVal(x.I | y.I), nil
+		return IntVal(x.Int() | y.Int()), nil
 	case ir.BinXor:
-		return IntVal(x.I ^ y.I), nil
+		return IntVal(x.Int() ^ y.Int()), nil
 	case ir.BinShl:
-		return IntVal(x.I << uint(y.I&63)), nil
+		return IntVal(x.Int() << uint(y.Int()&63)), nil
 	case ir.BinShr:
-		return IntVal(x.I >> uint(y.I&63)), nil
+		return IntVal(x.Int() >> uint(y.Int()&63)), nil
 	case ir.BinEq:
-		return b2i(x.I == y.I), nil
+		return b2i(x.Int() == y.Int()), nil
 	case ir.BinNeq:
-		return b2i(x.I != y.I), nil
+		return b2i(x.Int() != y.Int()), nil
 	case ir.BinLt:
-		return b2i(x.I < y.I), nil
+		return b2i(x.Int() < y.Int()), nil
 	case ir.BinLeq:
-		return b2i(x.I <= y.I), nil
+		return b2i(x.Int() <= y.Int()), nil
 	case ir.BinGt:
-		return b2i(x.I > y.I), nil
+		return b2i(x.Int() > y.Int()), nil
 	case ir.BinGeq:
-		return b2i(x.I >= y.I), nil
+		return b2i(x.Int() >= y.Int()), nil
 	case ir.BinLAnd:
-		return b2i(x.I != 0 && y.I != 0), nil
+		return b2i(x.Int() != 0 && y.Int() != 0), nil
 	case ir.BinLOr:
-		return b2i(x.I != 0 || y.I != 0), nil
+		return b2i(x.Int() != 0 || y.Int() != 0), nil
 	}
-	return Value{}, fmt.Errorf("interp: invalid binary operator")
+	return 0, fmt.Errorf("interp: invalid binary operator")
 }
 
 func (m *Machine) evalCall(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
@@ -467,11 +473,11 @@ func (m *Machine) evalCall(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 		return m.evalBuiltin(fr, s, o)
 	}
 	if o.Func == nil {
-		return Value{}, fmt.Errorf("interp: call to unresolved function %s", o.Str)
+		return 0, fmt.Errorf("interp: call to unresolved function %s", o.Str)
 	}
 	base, err := m.pushArgs(fr, s, o.Args)
 	if err != nil {
-		return Value{}, err
+		return 0, err
 	}
 	v, err := m.Call(o.Func, m.args[base:], fr)
 	m.args = m.args[:base]
@@ -507,21 +513,21 @@ func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 			}
 			v, err := m.eval(fr, s, a)
 			if err != nil {
-				return Value{}, err
+				return 0, err
 			}
 			if a.Type == ir.ValFloat {
-				fmt.Fprintf(m.Out, "%.6g", v.F)
+				fmt.Fprintf(m.Out, "%.6g", v.Float())
 			} else {
-				fmt.Fprintf(m.Out, "%d", v.I)
+				fmt.Fprintf(m.Out, "%d", v.Int())
 			}
 		}
 		fmt.Fprintln(m.Out)
-		return Value{}, nil
+		return 0, nil
 	}
 
 	base, err := m.pushArgs(fr, s, o.Args)
 	if err != nil {
-		return Value{}, err
+		return 0, err
 	}
 	// Nothing below pushes arguments, so the popped slots stay intact
 	// while the builtin reads them.
@@ -529,31 +535,31 @@ func (m *Machine) evalBuiltin(fr *Frame, s *ir.Stmt, o *ir.Op) (Value, error) {
 	m.args = m.args[:base]
 	switch o.Str {
 	case "fabs":
-		return FloatVal(math.Abs(args[0].F)), nil
+		return FloatVal(math.Abs(args[0].Float())), nil
 	case "fsqrt":
-		if args[0].F < 0 {
-			return Value{}, fmt.Errorf("interp: fsqrt of negative value")
+		if args[0].Float() < 0 {
+			return 0, fmt.Errorf("interp: fsqrt of negative value")
 		}
-		return FloatVal(math.Sqrt(args[0].F)), nil
+		return FloatVal(math.Sqrt(args[0].Float())), nil
 	case "fmin":
-		return FloatVal(math.Min(args[0].F, args[1].F)), nil
+		return FloatVal(math.Min(args[0].Float(), args[1].Float())), nil
 	case "fmax":
-		return FloatVal(math.Max(args[0].F, args[1].F)), nil
+		return FloatVal(math.Max(args[0].Float(), args[1].Float())), nil
 	case "iabs":
-		if args[0].I < 0 {
-			return IntVal(-args[0].I), nil
+		if args[0].Int() < 0 {
+			return IntVal(-args[0].Int()), nil
 		}
 		return args[0], nil
 	case "imin":
-		if args[0].I < args[1].I {
+		if args[0].Int() < args[1].Int() {
 			return args[0], nil
 		}
 		return args[1], nil
 	case "imax":
-		if args[0].I > args[1].I {
+		if args[0].Int() > args[1].Int() {
 			return args[0], nil
 		}
 		return args[1], nil
 	}
-	return Value{}, fmt.Errorf("interp: unknown builtin %s", o.Str)
+	return 0, fmt.Errorf("interp: unknown builtin %s", o.Str)
 }

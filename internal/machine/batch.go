@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sptc/internal/interp"
 	"sptc/internal/ir"
 )
 
@@ -81,9 +82,9 @@ func (e *Engine) Run(prog *ir.Program, cfg Config, opt RunOptions) (*Result, err
 	for _, g := range prog.Globals {
 		if !g.IsArray() {
 			if g.Elem == ir.ValFloat {
-				s.mem[g.Addr] = Value{F: g.InitF}
+				s.mem[g.Addr] = interp.FloatVal(g.InitF)
 			} else {
-				s.mem[g.Addr] = Value{I: g.InitInt}
+				s.mem[g.Addr] = interp.IntVal(g.InitInt)
 			}
 		}
 	}

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math"
 
+	"sptc/internal/interp"
 	"sptc/internal/ir"
 )
 
-// tval is one value-stack slot: a runtime value plus its speculative
-// taint. Values are always constructed exactly like the tree walker's
-// (the unused half of the Value union stays zero), because speculative
-// violation detection compares whole Values.
+// tval is one value-stack slot, 16 bytes: a runtime value plus its
+// speculative taint. Speculative violation detection compares values by
+// their bits, as a value-checking core compares registers: +0.0 and -0.0
+// differ, and a NaN matches a NaN with the same bits.
 type tval struct {
 	v Value
 	t bool
@@ -185,9 +186,9 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			ops++
 			var taken bool
 			if in.bin != 0 {
-				taken = cond.v.F != 0
+				taken = cond.v.Float() != 0
 			} else {
-				taken = cond.v.I != 0
+				taken = cond.v.Int() != 0
 			}
 			if !s.bp().predict(int(in.d), taken) {
 				cycles += mp
@@ -264,19 +265,19 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			acc := &vs[sp-1]
 			g := aux[pc].g
 			d := int(in.a)
-			i := int(ix.v.I)
+			i := int(ix.v.Int())
 			if i < 0 || i >= g.Dims[d] {
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
 					fr.fn.Name, i, g.Dims[d], g.Name, aux[pc].st.ID)
 			}
-			acc.v.I = acc.v.I*int64(g.Dims[d]) + int64(i)
+			acc.v = interp.IntVal(acc.v.Int()*int64(g.Dims[d]) + int64(i))
 			acc.t = acc.t || ix.t
 			pc++
 
 		case bcLoadAddr:
 			acc := vs[sp-1]
-			addr := int(in.c) + int(acc.v.I)
+			addr := int(in.c) + int(acc.v.Int())
 			ops++
 			lat := hier.load(addr)
 			cycles += lat
@@ -332,7 +333,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			// The operator switch is written out here (rather than calling
 			// intBin) because this is the single hottest opcode and the
 			// switch is too large for the inliner.
-			xi, yi := x.v.I, y.v.I
+			xi, yi := x.v.Int(), y.v.Int()
 			var r int64
 			switch ir.BinOp(in.bin) {
 			case ir.BinAdd:
@@ -374,7 +375,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			case ir.BinLOr:
 				r = b2iInt(xi != 0 || yi != 0)
 			}
-			vs[sp] = tval{v: Value{I: r}, t: x.t || y.t}
+			vs[sp] = tval{v: interp.IntVal(r), t: x.t || y.t}
 			sp++
 			pc++
 
@@ -417,11 +418,11 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			r := intBin(ir.BinOp(in.bin), x.v.I, y.v.I)
+			r := intBin(ir.BinOp(in.bin), x.v.Int(), y.v.Int())
 			d := uint32(in.d)
 			var y2 tval
 			if uint8(d) == bcMConst {
-				y2.v.I = int64(in.c)
+				y2.v = interp.IntVal(int64(in.c))
 			} else if s.spec == nil {
 				if regGen[in.c] == gen {
 					y2.v = regs[in.c]
@@ -430,12 +431,12 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 				y2.v, y2.t = s.readVar(fr, aux[pc].v)
 			}
 			ops++
-			cycles += in.val.F
-			x2, yi2 := r, y2.v.I
+			cycles += in.cost2
+			x2, yi2 := r, y2.v.Int()
 			if d&(1<<8) != 0 {
 				x2, yi2 = yi2, x2
 			}
-			vs[sp] = tval{v: Value{I: intBin(ir.BinOp(d>>16), x2, yi2)}, t: x.t || y.t || y2.t}
+			vs[sp] = tval{v: interp.IntVal(intBin(ir.BinOp(d>>16), x2, yi2)), t: x.t || y.t || y2.t}
 			sp++
 			pc++
 
@@ -474,7 +475,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			vs[sp] = tval{v: floatBin(ir.BinOp(in.bin), x.v.F, y.v.F), t: x.t || y.t}
+			vs[sp] = tval{v: floatBin(ir.BinOp(in.bin), x.v.Float(), y.v.Float()), t: x.t || y.t}
 			sp++
 			pc++
 
@@ -495,7 +496,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 				sp--
 				ix = vs[sp]
 			}
-			i := int(ix.v.I)
+			i := int(ix.v.Int())
 			if i < 0 || i >= int(in.c) {
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
@@ -538,23 +539,23 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			cycles += in.cost
 			switch in.bin { // pre-resolved by splitInstr
 			case 1:
-				x.v = Value{F: -x.v.F}
+				x.v = interp.FloatVal(-x.v.Float())
 			case 2:
-				x.v = Value{I: -x.v.I}
+				x.v = interp.IntVal(-x.v.Int())
 			case 3:
-				if x.v.F != 0 {
-					x.v = Value{I: 0}
+				if x.v.Float() != 0 {
+					x.v = interp.IntVal(0)
 				} else {
-					x.v = Value{I: 1}
+					x.v = interp.IntVal(1)
 				}
 			case 4:
-				if x.v.I != 0 {
-					x.v = Value{I: 0}
+				if x.v.Int() != 0 {
+					x.v = interp.IntVal(0)
 				} else {
-					x.v = Value{I: 1}
+					x.v = interp.IntVal(1)
 				}
 			case 5:
-				x.v = Value{I: ^x.v.I}
+				x.v = interp.IntVal(^x.v.Int())
 			default:
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: bad unary op")
@@ -567,9 +568,9 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			cycles += in.cost
 			switch in.bin { // pre-resolved by splitInstr
 			case 1:
-				x.v = Value{F: float64(x.v.I)}
+				x.v = interp.FloatVal(float64(x.v.Int()))
 			case 2:
-				x.v = Value{I: int64(x.v.F)}
+				x.v = interp.IntVal(int64(x.v.Float()))
 			}
 			pc++
 
@@ -608,36 +609,36 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			switch in.b {
 			case bFabs:
 				cycles += in.cost
-				v = Value{F: math.Abs(args[0].v.F)}
+				v = interp.FloatVal(math.Abs(args[0].v.Float()))
 			case bFsqrt:
 				cycles += in.cost
-				if args[0].v.F < 0 {
+				if args[0].v.Float() < 0 {
 					s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 					return execOutcome{}, fmt.Errorf("machine: fsqrt of negative value")
 				}
-				v = Value{F: math.Sqrt(args[0].v.F)}
+				v = interp.FloatVal(math.Sqrt(args[0].v.Float()))
 			case bFmin:
 				cycles += in.cost
-				v = Value{F: math.Min(args[0].v.F, args[1].v.F)}
+				v = interp.FloatVal(math.Min(args[0].v.Float(), args[1].v.Float()))
 			case bFmax:
 				cycles += in.cost
-				v = Value{F: math.Max(args[0].v.F, args[1].v.F)}
+				v = interp.FloatVal(math.Max(args[0].v.Float(), args[1].v.Float()))
 			case bIabs:
 				cycles += in.cost
 				v = args[0].v
-				if v.I < 0 {
-					v = Value{I: -v.I}
+				if v.Int() < 0 {
+					v = interp.IntVal(-v.Int())
 				}
 			case bImin:
 				cycles += in.cost
-				if args[0].v.I < args[1].v.I {
+				if args[0].v.Int() < args[1].v.Int() {
 					v = args[0].v
 				} else {
 					v = args[1].v
 				}
 			case bImax:
 				cycles += in.cost
-				if args[0].v.I > args[1].v.I {
+				if args[0].v.Int() > args[1].v.Int() {
 					v = args[0].v
 				} else {
 					v = args[1].v
@@ -672,15 +673,15 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			acc := &vs[sp-1]
 			acc.t = acc.t || x.t
 			if in.b != 0 {
-				fmt.Fprintf(s.out, "%.6g", x.v.F)
+				fmt.Fprintf(s.out, "%.6g", x.v.Float())
 			} else {
-				fmt.Fprintf(s.out, "%d", x.v.I)
+				fmt.Fprintf(s.out, "%d", x.v.Int())
 			}
 			pc++
 
 		case bcPrintEnd:
 			fmt.Fprintln(s.out)
-			// The accumulator stays: it is the print call's {Value{}, taint}.
+			// The accumulator stays: it is the print call's {0, taint}.
 			pc++
 
 		case bcAssign:
@@ -732,7 +733,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			tnt := acc.t || x.t
 			cycles += in.cost
 			ops++
-			addr := int(in.c) + int(acc.v.I)
+			addr := int(in.c) + int(acc.v.Int())
 			if s.spec == nil && !s.undoActive {
 				mem[addr] = x.v
 				hier.store(addr)
@@ -841,7 +842,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			rv := Value{I: intBin(ir.BinOp(in.bin), x.v.I, y.v.I)}
+			rv := interp.IntVal(intBin(ir.BinOp(in.bin), x.v.Int(), y.v.Int()))
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
@@ -895,7 +896,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			rv := floatBin(ir.BinOp(in.bin), x.v.F, y.v.F)
+			rv := floatBin(ir.BinOp(in.bin), x.v.Float(), y.v.Float())
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
@@ -982,7 +983,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			} else {
 				ix.v, ix.t = s.readVar(fr, aux[pc].xv)
 			}
-			i := int(ix.v.I)
+			i := int(ix.v.Int())
 			if i < 0 || i >= int(in.c) {
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
@@ -1084,7 +1085,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			} else {
 				ix.v, ix.t = s.readVar(fr, aux[pc].xv)
 			}
-			i := int(ix.v.I)
+			i := int(ix.v.Int())
 			if i < 0 || i >= int(in.c) {
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
@@ -1153,7 +1154,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			r := intBin(ir.BinOp(in.bin), x.v.I, y.v.I)
+			r := intBin(ir.BinOp(in.bin), x.v.Int(), y.v.Int())
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
@@ -1210,9 +1211,9 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			ops++
 			var taken bool
 			if in.bin != 0 {
-				taken = x.v.F != 0
+				taken = x.v.Float() != 0
 			} else {
-				taken = x.v.I != 0
+				taken = x.v.Int() != 0
 			}
 			if !s.bp().predict(int(in.d), taken) {
 				cycles += mp
@@ -1278,7 +1279,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			rv := Value{I: intBin(ir.BinOp(in.bin), x.v.I, y.v.I)}
+			rv := interp.IntVal(intBin(ir.BinOp(in.bin), x.v.Int(), y.v.Int()))
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
@@ -1333,7 +1334,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 			}
 			ops++
 			cycles += in.cost
-			rv := floatBin(ir.BinOp(in.bin), x.v.F, y.v.F)
+			rv := floatBin(ir.BinOp(in.bin), x.v.Float(), y.v.Float())
 			tnt := x.t || y.t
 			cycles += isC
 			ops++
@@ -1370,7 +1371,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 				sp--
 				ix = vs[sp]
 			}
-			i := int(ix.v.I)
+			i := int(ix.v.Int())
 			if i < 0 || i >= int(in.c) {
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
@@ -1411,7 +1412,7 @@ func (s *sim) execByte(fr *frame, blk, prev *ir.Block, leg bool) (execOutcome, e
 		case bcStoreA1NS:
 			sp--
 			ix := vs[sp]
-			i := int(ix.v.I)
+			i := int(ix.v.Int())
 			if i < 0 || i >= int(in.c) {
 				s.cycles, s.ops, s.steps, s.memCycles = cycles, ops, steps, memCycles
 				return execOutcome{}, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
@@ -1552,27 +1553,27 @@ func intBin(op ir.BinOp, xi, yi int64) int64 {
 
 // floatBin evaluates a non-trapping float binary operator; comparisons
 // produce int-typed Values, arithmetic float-typed ones, exactly like
-// the walker (the unused union half stays zero).
+// the walker.
 func floatBin(op ir.BinOp, xf, yf float64) Value {
 	switch op {
 	case ir.BinAdd:
-		return Value{F: xf + yf}
+		return interp.FloatVal(xf + yf)
 	case ir.BinSub:
-		return Value{F: xf - yf}
+		return interp.FloatVal(xf - yf)
 	case ir.BinMul:
-		return Value{F: xf * yf}
+		return interp.FloatVal(xf * yf)
 	case ir.BinEq:
-		return Value{I: b2iInt(xf == yf)}
+		return interp.IntVal(b2iInt(xf == yf))
 	case ir.BinNeq:
-		return Value{I: b2iInt(xf != yf)}
+		return interp.IntVal(b2iInt(xf != yf))
 	case ir.BinLt:
-		return Value{I: b2iInt(xf < yf)}
+		return interp.IntVal(b2iInt(xf < yf))
 	case ir.BinLeq:
-		return Value{I: b2iInt(xf <= yf)}
+		return interp.IntVal(b2iInt(xf <= yf))
 	case ir.BinGt:
-		return Value{I: b2iInt(xf > yf)}
+		return interp.IntVal(b2iInt(xf > yf))
 	case ir.BinGeq:
-		return Value{I: b2iInt(xf >= yf)}
+		return interp.IntVal(b2iInt(xf >= yf))
 	}
-	return Value{}
+	return 0
 }

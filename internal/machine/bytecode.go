@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"sptc/internal/interp"
 	"sptc/internal/ir"
 )
 
@@ -95,10 +96,9 @@ const (
 	// the first op is a full bcBinII; its result feeds the second op
 	// directly (no stack round-trip). Second-op encoding in the hot
 	// instr: d packs bin2<<16 | rIsY<<8 | ym2, c holds the operand (var
-	// ID, or the int32 constant value), val.F holds the second op's
-	// cycle cost (the first op's const, if any, is an int in val.I, so
-	// the float half is free), and aux.v holds the operand var for the
-	// speculative read path. Emitted by the emit peephole when a bcBinII
+	// ID, or the int32 constant value), cost2 holds the second op's
+	// cycle cost, and aux.v holds the operand var for the speculative
+	// read path. Emitted by the emit peephole when a bcBinII
 	// immediately consumes the previous bcBinII's result.
 	bcBinII2
 )
@@ -182,7 +182,8 @@ type instr struct {
 	xid    int32 // x operand variable ID (xm == bcMVar)
 	yid    int32 // y operand variable ID (ym == bcMVar)
 	cost   float64
-	val    Value // bcConst value; fused const operand (at most one)
+	val    Value   // bcConst value; fused const operand (at most one)
+	cost2  float64 // bcBinII2: the second op's cycle cost
 	blk    *ir.Block
 }
 
@@ -290,10 +291,10 @@ func (lo *lowerer) mergeBinII(prev, in *linstr, pc int32) (int32, bool) {
 	case bcMVar:
 		prev.c = 0 // splitInstr fills the var ID
 	case bcMConst:
-		if oc.I < -1<<31 || oc.I > 1<<31-1 {
+		if oc.Int() < -1<<31 || oc.Int() > 1<<31-1 {
 			return 0, false
 		}
-		prev.c = int32(oc.I)
+		prev.c = int32(oc.Int())
 	default:
 		return 0, false
 	}
@@ -402,7 +403,7 @@ func splitInstr(li *linstr, in *instr, ax *instrAux) {
 			in.c = int32(li.y2v.ID)
 		}
 		ax.v = li.y2v
-		in.val.F = li.cost2 // first-op const, if any, is an int in val.I
+		in.cost2 = li.cost2
 	case bcUseVar:
 		in.a = int32(li.v.ID)
 	case bcAssign:
@@ -563,13 +564,13 @@ func (lo *lowerer) lowerBlock(b *ir.Block) {
 func fusedOperand(o *ir.Op) (mode uint8, cv Value, v *ir.Var, ok bool) {
 	switch o.Kind {
 	case ir.OpConstInt:
-		return bcMConst, Value{I: o.ConstI}, nil, true
+		return bcMConst, interp.IntVal(o.ConstI), nil, true
 	case ir.OpConstFloat:
-		return bcMConst, Value{F: o.ConstF}, nil, true
+		return bcMConst, interp.FloatVal(o.ConstF), nil, true
 	case ir.OpUseVar:
-		return bcMVar, Value{}, o.Var, true
+		return bcMVar, 0, o.Var, true
 	}
-	return 0, Value{}, nil, false
+	return 0, 0, nil, false
 }
 
 // fastIntBin reports whether an integer binary op qualifies for the
@@ -768,10 +769,10 @@ func (lo *lowerer) emitDst(st *ir.Stmt, in linstr) {
 func (lo *lowerer) lowerOp(st *ir.Stmt, o *ir.Op) {
 	switch o.Kind {
 	case ir.OpConstInt:
-		lo.emit(linstr{op: bcConst, val: Value{I: o.ConstI}})
+		lo.emit(linstr{op: bcConst, val: interp.IntVal(o.ConstI)})
 		lo.stk(1)
 	case ir.OpConstFloat:
-		lo.emit(linstr{op: bcConst, val: Value{F: o.ConstF}})
+		lo.emit(linstr{op: bcConst, val: interp.FloatVal(o.ConstF)})
 		lo.stk(1)
 	case ir.OpConstStr:
 		lo.emit(linstr{op: bcConst})

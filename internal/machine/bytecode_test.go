@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"sptc/internal/ir"
 )
@@ -43,5 +44,24 @@ func TestLoweringRejectsOutOfRangeGlobal(t *testing.T) {
 
 	if _, err := lowerProgram(layout(math.MaxInt32-1), cfg); err != nil {
 		t.Errorf("global ending at word 2^31-2 rejected: %v", err)
+	}
+}
+
+// TestHotRecordSizes pins the layouts the engine's speed rests on: a
+// value is one 8-byte word, an operand-stack slot is a value plus its
+// taint in 16 bytes, and an executed instruction fills exactly one
+// 64-byte cache line.
+func TestHotRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Value", unsafe.Sizeof(Value(0)), 8},
+		{"tval", unsafe.Sizeof(tval{}), 16},
+		{"instr", unsafe.Sizeof(instr{}), 64},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }

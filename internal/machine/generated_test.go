@@ -48,7 +48,9 @@ func checkSourceFidelity(t *testing.T, src string) {
 
 // TestEngineFidelityGenerated runs the fuzzed oracle arm over a fixed
 // block of generator seeds, so a plain `go test` compares the engines on
-// randomized programs without the fuzz engine.
+// randomized programs without the fuzz engine. Each seed runs both
+// generators: splgen.Generate's integer, single-function programs and
+// splgen.Mixed's programs of floats, casts, float builtins and calls.
 func TestEngineFidelityGenerated(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
@@ -60,17 +62,23 @@ func TestEngineFidelityGenerated(t *testing.T) {
 			t.Parallel()
 			checkSourceFidelity(t, splgen.Generate(seed))
 		})
+		t.Run(fmt.Sprintf("mixed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			checkSourceFidelity(t, splgen.Mixed(seed))
+		})
 	}
 }
 
 // FuzzEngineFidelity is the native fuzz entry point: the fuzzer mutates
-// the generator seed and splgen expands it into a well-formed program.
+// the generator seed and splgen expands it into a well-formed program,
+// once with each generator.
 func FuzzEngineFidelity(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkSourceFidelity(t, splgen.Generate(seed))
+		checkSourceFidelity(t, splgen.Mixed(seed))
 	})
 }
 
@@ -78,10 +86,13 @@ func FuzzEngineFidelity(f *testing.F) {
 // programs that internal/core's differential tests also run: the
 // testdata/edge corner cases (builtins, int<->float casts, shift
 // masking, fused division and remainder, an early return from a loop of
-// a called function) and testdata/misspec.spl, whose loop misspeculates
-// part of the time. The generator emits integer-only, single-function
-// programs, so these are the oracle's only source-level coverage of
-// floats, casts, builtins and user calls outside the benchmark suite.
+// a called function, a float global flipped between +0.0 and -0.0
+// under speculation) and testdata/misspec.spl, whose loop misspeculates
+// part of the time. splgen.Mixed covers floats, casts, the float
+// builtins and user calls at random; these pin the corners it rarely
+// reaches: the integer builtins, negative operands of casts, division
+// and remainder, shift counts past the mask, returns out of a loop and
+// signed zeros.
 func TestEngineFidelityEdgeCases(t *testing.T) {
 	dir := filepath.Join("..", "core", "testdata")
 	paths, err := filepath.Glob(filepath.Join(dir, "edge", "*.spl"))

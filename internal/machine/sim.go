@@ -134,14 +134,14 @@ func (fr *frame) reg(v *ir.Var) Value {
 	if fr.regGen[v.ID] == fr.gen {
 		return fr.regs[v.ID]
 	}
-	return Value{}
+	return 0
 }
 
 func (fr *frame) baseVal(v *ir.Var) Value {
 	if fr.baseGen[v.ID] == fr.gen {
 		return fr.baseVals[v.ID]
 	}
-	return Value{}
+	return 0
 }
 
 func (fr *frame) setReg(v *ir.Var, val Value) {
@@ -429,7 +429,7 @@ func (s *sim) readMem(addr int) (Value, bool) {
 // global) propagates back to the caller's expression.
 func (s *sim) callTainted(f *ir.Func, args []Value, depth int, argTaint bool) (Value, bool, error) {
 	if depth > 10000 {
-		return Value{}, false, fmt.Errorf("machine: call stack overflow in %s", f.Name)
+		return 0, false, fmt.Errorf("machine: call stack overflow in %s", f.Name)
 	}
 	fr := s.acquireFrame(f, depth)
 	for i, p := range f.Params {
@@ -443,12 +443,12 @@ func (s *sim) callTainted(f *ir.Func, args []Value, depth int, argTaint bool) (V
 	s.cycles += s.cfg.CallOverhead
 	out, err := s.execByte(fr, f.Entry, nil, false)
 	if err != nil {
-		return Value{}, false, err
+		return 0, false, err
 	}
 	s.popAttrFrame(fr)
 	s.releaseFrame(fr)
 	if !out.ret {
-		return Value{}, false, fmt.Errorf("machine: %s finished without return", f.Name)
+		return 0, false, fmt.Errorf("machine: %s finished without return", f.Name)
 	}
 	return out.retVal, out.retTaint, nil
 }
@@ -458,83 +458,83 @@ func evalBinMachine(fr *frame, st *ir.Stmt, o *ir.Op, x, y Value) (Value, error)
 	lf := o.Args[0].Type == ir.ValFloat || o.Args[1].Type == ir.ValFloat
 	b2i := func(b bool) Value {
 		if b {
-			return Value{I: 1}
+			return interp.IntVal(1)
 		}
-		return Value{I: 0}
+		return interp.IntVal(0)
 	}
 	if lf {
 		switch o.Bin {
 		case ir.BinAdd:
-			return Value{F: x.F + y.F}, nil
+			return interp.FloatVal(x.Float() + y.Float()), nil
 		case ir.BinSub:
-			return Value{F: x.F - y.F}, nil
+			return interp.FloatVal(x.Float() - y.Float()), nil
 		case ir.BinMul:
-			return Value{F: x.F * y.F}, nil
+			return interp.FloatVal(x.Float() * y.Float()), nil
 		case ir.BinDiv:
-			if y.F == 0 {
-				return Value{}, fmt.Errorf("machine: %s: float division by zero (stmt s%d)", fr.fn.Name, st.ID)
+			if y.Float() == 0 {
+				return 0, fmt.Errorf("machine: %s: float division by zero (stmt s%d)", fr.fn.Name, st.ID)
 			}
-			return Value{F: x.F / y.F}, nil
+			return interp.FloatVal(x.Float() / y.Float()), nil
 		case ir.BinEq:
-			return b2i(x.F == y.F), nil
+			return b2i(x.Float() == y.Float()), nil
 		case ir.BinNeq:
-			return b2i(x.F != y.F), nil
+			return b2i(x.Float() != y.Float()), nil
 		case ir.BinLt:
-			return b2i(x.F < y.F), nil
+			return b2i(x.Float() < y.Float()), nil
 		case ir.BinLeq:
-			return b2i(x.F <= y.F), nil
+			return b2i(x.Float() <= y.Float()), nil
 		case ir.BinGt:
-			return b2i(x.F > y.F), nil
+			return b2i(x.Float() > y.Float()), nil
 		case ir.BinGeq:
-			return b2i(x.F >= y.F), nil
+			return b2i(x.Float() >= y.Float()), nil
 		}
-		return Value{}, fmt.Errorf("machine: op %s on floats", o.Bin)
+		return 0, fmt.Errorf("machine: op %s on floats", o.Bin)
 	}
 	switch o.Bin {
 	case ir.BinAdd:
-		return Value{I: x.I + y.I}, nil
+		return interp.IntVal(x.Int() + y.Int()), nil
 	case ir.BinSub:
-		return Value{I: x.I - y.I}, nil
+		return interp.IntVal(x.Int() - y.Int()), nil
 	case ir.BinMul:
-		return Value{I: x.I * y.I}, nil
+		return interp.IntVal(x.Int() * y.Int()), nil
 	case ir.BinDiv:
-		if y.I == 0 {
-			return Value{}, fmt.Errorf("machine: %s: integer division by zero (stmt s%d)", fr.fn.Name, st.ID)
+		if y.Int() == 0 {
+			return 0, fmt.Errorf("machine: %s: integer division by zero (stmt s%d)", fr.fn.Name, st.ID)
 		}
-		return Value{I: x.I / y.I}, nil
+		return interp.IntVal(x.Int() / y.Int()), nil
 	case ir.BinRem:
-		if y.I == 0 {
-			return Value{}, fmt.Errorf("machine: %s: integer remainder by zero (stmt s%d)", fr.fn.Name, st.ID)
+		if y.Int() == 0 {
+			return 0, fmt.Errorf("machine: %s: integer remainder by zero (stmt s%d)", fr.fn.Name, st.ID)
 		}
-		return Value{I: x.I % y.I}, nil
+		return interp.IntVal(x.Int() % y.Int()), nil
 	case ir.BinAnd:
-		return Value{I: x.I & y.I}, nil
+		return interp.IntVal(x.Int() & y.Int()), nil
 	case ir.BinOr:
-		return Value{I: x.I | y.I}, nil
+		return interp.IntVal(x.Int() | y.Int()), nil
 	case ir.BinXor:
-		return Value{I: x.I ^ y.I}, nil
+		return interp.IntVal(x.Int() ^ y.Int()), nil
 	case ir.BinShl:
-		return Value{I: x.I << uint(y.I&63)}, nil
+		return interp.IntVal(x.Int() << uint(y.Int()&63)), nil
 	case ir.BinShr:
-		return Value{I: x.I >> uint(y.I&63)}, nil
+		return interp.IntVal(x.Int() >> uint(y.Int()&63)), nil
 	case ir.BinEq:
-		return b2i(x.I == y.I), nil
+		return b2i(x.Int() == y.Int()), nil
 	case ir.BinNeq:
-		return b2i(x.I != y.I), nil
+		return b2i(x.Int() != y.Int()), nil
 	case ir.BinLt:
-		return b2i(x.I < y.I), nil
+		return b2i(x.Int() < y.Int()), nil
 	case ir.BinLeq:
-		return b2i(x.I <= y.I), nil
+		return b2i(x.Int() <= y.Int()), nil
 	case ir.BinGt:
-		return b2i(x.I > y.I), nil
+		return b2i(x.Int() > y.Int()), nil
 	case ir.BinGeq:
-		return b2i(x.I >= y.I), nil
+		return b2i(x.Int() >= y.Int()), nil
 	case ir.BinLAnd:
-		return b2i(x.I != 0 && y.I != 0), nil
+		return b2i(x.Int() != 0 && y.Int() != 0), nil
 	case ir.BinLOr:
-		return b2i(x.I != 0 || y.I != 0), nil
+		return b2i(x.Int() != 0 || y.Int() != 0), nil
 	}
-	return Value{}, fmt.Errorf("machine: invalid binary operator")
+	return 0, fmt.Errorf("machine: invalid binary operator")
 }
 
 // noteBlock maintains loop-cycle attribution.

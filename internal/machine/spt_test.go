@@ -2,6 +2,8 @@ package machine_test
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -240,5 +242,48 @@ func main() {
 			t.Logf("loop %d: invocations=%d iters=%d", id, ls.Invocations, ls.Iterations)
 		}
 		t.Error("expected a loop invoked 5 times")
+	}
+}
+
+// TestViolationEqualityIsBitwise pins how a speculative read is checked
+// against the main thread's post-fork write: by the value's bits, as a
+// value-checking SPT core compares registers. In both loops the main
+// thread rewrites the float global z after the fork and the next
+// iteration, run speculatively, reads it before.
+//   - signed-zero.spl alternates z between +0.0 and -0.0 with the parity
+//     of a computed value: every sign change is a violation, though
+//     +0.0 == -0.0 as floats (a float comparison would count none).
+//   - The NaN loop stores the same NaN bits every iteration: only the
+//     first store, over the initial +0.0, is a violation, though no NaN
+//     equals itself as a float (a float comparison would count every
+//     speculative iteration).
+func TestViolationEqualityIsBitwise(t *testing.T) {
+	signedZero, err := os.ReadFile(filepath.Join("..", "core", "testdata", "edge", "signed-zero.spl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := strings.NewReplacer("var z float;", "var z float;\nvar big float = 1e308;",
+		"z = 0.0;", "z = big * 10.0 - big * 10.0;",
+		"z = 0.0 * -1.0;", "z = big * 10.0 - big * 10.0;").Replace(string(signedZero))
+	for _, c := range []struct {
+		name    string
+		src     string
+		misspec int64
+	}{
+		{"signed-zero", string(signedZero), 56},
+		{"nan", nan, 1},
+	} {
+		res, ro := compileSPT(t, c.src)
+		if len(res.SPT) != 1 {
+			t.Fatalf("%s: %d SPT loops, want 1", c.name, len(res.SPT))
+		}
+		sim, err := machine.Run(res.Prog, machine.DefaultConfig(), ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := sim.Loops[res.SPT[0].ID]
+		if ls == nil || ls.SpecIters != 128 || ls.MisspecIters != c.misspec {
+			t.Errorf("%s: loop stats %+v, want 128 speculative iterations, %d misspeculated", c.name, ls, c.misspec)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sptc/internal/interp"
 	"sptc/internal/ir"
 )
 
@@ -208,9 +209,9 @@ func (s *sim) chargeSpec(st *ir.Stmt, tainted bool, c0 float64, o0 int64) {
 
 func isTrue(v Value, k ir.ValKind) bool {
 	if k == ir.ValFloat {
-		return v.F != 0
+		return v.Float() != 0
 	}
-	return v.I != 0
+	return v.Int() != 0
 }
 
 func (s *sim) elemAddr(fr *frame, st *ir.Stmt, g *ir.Global, index []*ir.Op) (int, bool, error) {
@@ -222,7 +223,7 @@ func (s *sim) elemAddr(fr *frame, st *ir.Stmt, g *ir.Global, index []*ir.Op) (in
 			return 0, false, err
 		}
 		tnt = tnt || t
-		i := int(v.I)
+		i := int(v.Int())
 		if i < 0 || i >= g.Dims[d] {
 			return 0, false, fmt.Errorf("machine: %s: index %d out of range [0,%d) for %s (stmt s%d)",
 				fr.fn.Name, i, g.Dims[d], g.Name, st.ID)
@@ -235,11 +236,11 @@ func (s *sim) elemAddr(fr *frame, st *ir.Stmt, g *ir.Global, index []*ir.Op) (in
 func (s *sim) eval(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 	switch o.Kind {
 	case ir.OpConstInt:
-		return Value{I: o.ConstI}, false, nil
+		return interp.IntVal(o.ConstI), false, nil
 	case ir.OpConstFloat:
-		return Value{F: o.ConstF}, false, nil
+		return interp.FloatVal(o.ConstF), false, nil
 	case ir.OpConstStr:
-		return Value{}, false, nil
+		return 0, false, nil
 	case ir.OpUseVar:
 		v, tnt := s.readVar(fr, o.Var)
 		return v, tnt, nil
@@ -255,7 +256,7 @@ func (s *sim) eval(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 	case ir.OpLoadA:
 		addr, tnt, err := s.elemAddr(fr, st, o.G, o.Args)
 		if err != nil {
-			return Value{}, false, err
+			return 0, false, err
 		}
 		s.ops++
 		lat := s.hier.load(addr)
@@ -268,11 +269,11 @@ func (s *sim) eval(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 	case ir.OpBin:
 		x, tx, err := s.eval(fr, st, o.Args[0])
 		if err != nil {
-			return Value{}, false, err
+			return 0, false, err
 		}
 		y, ty, err := s.eval(fr, st, o.Args[1])
 		if err != nil {
-			return Value{}, false, err
+			return 0, false, err
 		}
 		s.ops++
 		s.cycles += binCostFor(s.cfg, o)
@@ -281,29 +282,29 @@ func (s *sim) eval(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 	case ir.OpUn:
 		x, tnt, err := s.eval(fr, st, o.Args[0])
 		if err != nil {
-			return Value{}, false, err
+			return 0, false, err
 		}
 		s.ops++
 		s.cycles += s.cfg.IssueCost
 		switch o.Un {
 		case ir.UnNeg:
 			if o.Type == ir.ValFloat {
-				return Value{F: -x.F}, tnt, nil
+				return interp.FloatVal(-x.Float()), tnt, nil
 			}
-			return Value{I: -x.I}, tnt, nil
+			return interp.IntVal(-x.Int()), tnt, nil
 		case ir.UnNot:
 			if isTrue(x, o.Args[0].Type) {
-				return Value{I: 0}, tnt, nil
+				return interp.IntVal(0), tnt, nil
 			}
-			return Value{I: 1}, tnt, nil
+			return interp.IntVal(1), tnt, nil
 		case ir.UnBitNot:
-			return Value{I: ^x.I}, tnt, nil
+			return interp.IntVal(^x.Int()), tnt, nil
 		}
-		return Value{}, false, fmt.Errorf("machine: bad unary op")
+		return 0, false, fmt.Errorf("machine: bad unary op")
 	case ir.OpCast:
 		x, tnt, err := s.eval(fr, st, o.Args[0])
 		if err != nil {
-			return Value{}, false, err
+			return 0, false, err
 		}
 		s.ops++
 		s.cycles += s.cfg.IssueCost
@@ -311,16 +312,16 @@ func (s *sim) eval(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 			if o.Args[0].Type == ir.ValFloat {
 				return x, tnt, nil
 			}
-			return Value{F: float64(x.I)}, tnt, nil
+			return interp.FloatVal(float64(x.Int())), tnt, nil
 		}
 		if o.Args[0].Type == ir.ValFloat {
-			return Value{I: int64(x.F)}, tnt, nil
+			return interp.IntVal(int64(x.Float())), tnt, nil
 		}
 		return x, tnt, nil
 	case ir.OpCall:
 		return s.evalCall(fr, st, o)
 	}
-	return Value{}, false, fmt.Errorf("machine: invalid op kind %d", o.Kind)
+	return 0, false, fmt.Errorf("machine: invalid op kind %d", o.Kind)
 }
 
 func (s *sim) evalCall(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
@@ -328,7 +329,7 @@ func (s *sim) evalCall(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 		return s.evalBuiltin(fr, st, o)
 	}
 	if o.Func == nil {
-		return Value{}, false, fmt.Errorf("machine: unresolved call %s", o.Str)
+		return 0, false, fmt.Errorf("machine: unresolved call %s", o.Str)
 	}
 	// Argument values live in a stack-disciplined scratch buffer: nested
 	// calls during operand evaluation push above our base and truncate
@@ -339,7 +340,7 @@ func (s *sim) evalCall(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error) {
 		v, t, err := s.eval(fr, st, a)
 		if err != nil {
 			s.argBuf = s.argBuf[:base]
-			return Value{}, false, err
+			return 0, false, err
 		}
 		s.argBuf = append(s.argBuf, v)
 		argTaint = argTaint || t
@@ -365,17 +366,17 @@ func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error)
 			}
 			v, t, err := s.eval(fr, st, a)
 			if err != nil {
-				return Value{}, false, err
+				return 0, false, err
 			}
 			tnt = tnt || t
 			if a.Type == ir.ValFloat {
-				fmt.Fprintf(s.out, "%.6g", v.F)
+				fmt.Fprintf(s.out, "%.6g", v.Float())
 			} else {
-				fmt.Fprintf(s.out, "%d", v.I)
+				fmt.Fprintf(s.out, "%d", v.Int())
 			}
 		}
 		fmt.Fprintln(s.out)
-		return Value{}, tnt, nil
+		return 0, tnt, nil
 	}
 
 	base := len(s.argBuf)
@@ -384,7 +385,7 @@ func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error)
 	for _, a := range o.Args {
 		v, t, err := s.eval(fr, st, a)
 		if err != nil {
-			return Value{}, false, err
+			return 0, false, err
 		}
 		s.argBuf = append(s.argBuf, v)
 		tnt = tnt || t
@@ -394,37 +395,37 @@ func (s *sim) evalBuiltin(fr *frame, st *ir.Stmt, o *ir.Op) (Value, bool, error)
 	switch o.Str {
 	case "fabs":
 		s.cycles += s.cfg.IssueCost
-		return Value{F: math.Abs(args[0].F)}, tnt, nil
+		return interp.FloatVal(math.Abs(args[0].Float())), tnt, nil
 	case "fsqrt":
 		s.cycles += s.cfg.SqrtCost
-		if args[0].F < 0 {
-			return Value{}, false, fmt.Errorf("machine: fsqrt of negative value")
+		if args[0].Float() < 0 {
+			return 0, false, fmt.Errorf("machine: fsqrt of negative value")
 		}
-		return Value{F: math.Sqrt(args[0].F)}, tnt, nil
+		return interp.FloatVal(math.Sqrt(args[0].Float())), tnt, nil
 	case "fmin":
 		s.cycles += s.cfg.FloatCost
-		return Value{F: math.Min(args[0].F, args[1].F)}, tnt, nil
+		return interp.FloatVal(math.Min(args[0].Float(), args[1].Float())), tnt, nil
 	case "fmax":
 		s.cycles += s.cfg.FloatCost
-		return Value{F: math.Max(args[0].F, args[1].F)}, tnt, nil
+		return interp.FloatVal(math.Max(args[0].Float(), args[1].Float())), tnt, nil
 	case "iabs":
 		s.cycles += s.cfg.IssueCost
-		if args[0].I < 0 {
-			return Value{I: -args[0].I}, tnt, nil
+		if args[0].Int() < 0 {
+			return interp.IntVal(-args[0].Int()), tnt, nil
 		}
 		return args[0], tnt, nil
 	case "imin":
 		s.cycles += s.cfg.IssueCost
-		if args[0].I < args[1].I {
+		if args[0].Int() < args[1].Int() {
 			return args[0], tnt, nil
 		}
 		return args[1], tnt, nil
 	case "imax":
 		s.cycles += s.cfg.IssueCost
-		if args[0].I > args[1].I {
+		if args[0].Int() > args[1].Int() {
 			return args[0], tnt, nil
 		}
 		return args[1], tnt, nil
 	}
-	return Value{}, false, fmt.Errorf("machine: unknown builtin %s", o.Str)
+	return 0, false, fmt.Errorf("machine: unknown builtin %s", o.Str)
 }

@@ -532,10 +532,10 @@ func (p *profiler) onDef(fr *interp.Frame, s *ir.Stmt, v interp.Value) {
 	}
 	st := &p.values[i]
 	if st.hasPrev {
-		st.hist.add(v.I-st.prev, &p.histBuf)
+		st.hist.add(v.Int()-st.prev, &p.histBuf)
 		st.total++
 	}
-	st.prev = v.I
+	st.prev = v.Int()
 	st.hasPrev = true
 }
 

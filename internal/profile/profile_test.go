@@ -482,10 +482,10 @@ func (p *refProfiler) onDef(fr *interp.Frame, s *ir.Stmt, v interp.Value) {
 		p.strides[s] = st
 	}
 	if st.hasPrev {
-		st.strides[v.I-st.prev]++
+		st.strides[v.Int()-st.prev]++
 		st.total++
 	}
-	st.prev, st.hasPrev = v.I, true
+	st.prev, st.hasPrev = v.Int(), true
 }
 
 // pattern is ValueProfile.Pattern over the full histogram, with its

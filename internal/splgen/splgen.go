@@ -1,10 +1,11 @@
 // Package splgen generates random but well-formed SPL programs for
 // differential and property-based testing. Generated programs exercise
 // the transformation space — affine and indirect array accesses, scalar
-// accumulators, conditional updates, nested and while loops — while
-// staying trap-free by construction: all indices are masked into bounds
-// and all divisors are nonzero constants, so every generated program
-// runs to completion under every compilation level.
+// accumulators, conditional updates, nested and while loops (Generate),
+// floats, casts, float builtins and calls (Mixed) — while staying
+// trap-free by construction: all indices are masked into bounds and all
+// divisors are nonzero constants, so every generated program runs to
+// completion under every compilation level.
 //
 // Generation is deterministic in the seed, which makes the package
 // directly usable from native fuzz targets: the fuzzer mutates the seed,
@@ -221,5 +222,158 @@ func Generate(seed int64) string {
 	g.buf.WriteString("\tvar k int;\n\tvar h int = 0;\n")
 	g.buf.WriteString("\tfor (k = 0; k < 64; k++) { h = (h * 31 + a[k] + b[k]) & 268435455; }\n")
 	g.buf.WriteString("\tprint(g1, g2, h);\n}\n")
+	return g.buf.String()
+}
+
+// mixed carries the generator state for one Mixed program.
+type mixed struct {
+	r   *rand.Rand
+	buf strings.Builder
+	// ints and floats are the scalars in scope besides the globals:
+	// the loop variable and locals in a loop of main, the parameters in
+	// mix.
+	ints, floats []string
+	tmp          int
+}
+
+func (g *mixed) pick(xs []string) string { return xs[g.r.Intn(len(xs))] }
+
+// clamp bounds a float expression, so no value grows without limit.
+func clamp(e string) string { return "fmin(fmax(" + e + ", -1000.0), 1000.0)" }
+
+// fexpr produces a float expression. Every builtin argument is
+// non-negative where it must be (fsqrt takes fabs) and every divisor is
+// a nonzero constant. Calls to mix appear only when call is set.
+func (g *mixed) fexpr(depth int, call bool) string {
+	atoms := append([]string{"f1", "f2", "0.5", "1.25"}, g.floats...)
+	if depth <= 0 {
+		if g.r.Intn(3) == 0 {
+			return "float(" + g.pick(append([]string{"g1", "3"}, g.ints...)) + ")"
+		}
+		return g.pick(atoms)
+	}
+	switch g.r.Intn(11) {
+	case 0:
+		return "(" + g.fexpr(depth-1, call) + " + " + g.fexpr(depth-1, call) + ")"
+	case 1:
+		return "(" + g.fexpr(depth-1, call) + " - " + g.fexpr(depth-1, call) + ")"
+	case 2:
+		return "(" + g.fexpr(depth-1, call) + " * " + g.pick([]string{"0.5", "0.75", "1.5"}) + ")"
+	case 3:
+		return "(" + g.fexpr(depth-1, call) + " / " + g.pick([]string{"2.0", "4.0", "0.5"}) + ")"
+	case 4:
+		return "fabs(" + g.fexpr(depth-1, call) + ")"
+	case 5:
+		return "fmin(" + g.fexpr(depth-1, call) + ", " + g.fexpr(depth-1, call) + ")"
+	case 6:
+		return "fmax(" + g.fexpr(depth-1, call) + ", " + g.fexpr(depth-1, call) + ")"
+	case 7:
+		return "fsqrt(fabs(" + g.fexpr(depth-1, call) + "))"
+	case 8:
+		return "float(" + g.iexpr(depth-1, call) + ")"
+	case 9:
+		return "fa[" + g.index() + "]"
+	default:
+		if call {
+			return "mix(" + g.iexpr(depth-1, false) + ", " + g.fexpr(depth-1, false) + ")"
+		}
+		return g.pick(atoms)
+	}
+}
+
+// iexpr produces an int expression; float operands enter through int().
+func (g *mixed) iexpr(depth int, call bool) string {
+	atoms := append([]string{"7", "g1"}, g.ints...)
+	if depth <= 0 {
+		return g.pick(atoms)
+	}
+	switch g.r.Intn(7) {
+	case 0:
+		return "(" + g.iexpr(depth-1, call) + " + " + g.iexpr(depth-1, call) + ")"
+	case 1:
+		return "(" + g.iexpr(depth-1, call) + " - " + g.iexpr(depth-1, call) + ")"
+	case 2:
+		return "(" + g.iexpr(depth-1, call) + " % " + fmt.Sprint(g.r.Intn(29)+2) + ")"
+	case 3:
+		return "(" + g.iexpr(depth-1, call) + " / " + fmt.Sprint(g.r.Intn(5)+2) + ")"
+	case 4, 5:
+		return "int(" + g.fexpr(depth-1, call) + ")"
+	default:
+		return g.pick(atoms)
+	}
+}
+
+// index produces an always-in-bounds index into a or fa.
+func (g *mixed) index() string {
+	return "(" + g.pick(append([]string{"g1"}, g.ints...)) + " + " + fmt.Sprint(g.r.Intn(64)) + ") & 63"
+}
+
+func (g *mixed) stmt(pad string) {
+	switch g.r.Intn(8) {
+	case 0:
+		fmt.Fprintf(&g.buf, "%sf1 = %s;\n", pad, clamp("f1 + "+g.fexpr(2, true)))
+	case 1:
+		fmt.Fprintf(&g.buf, "%sfa[%s] = %s;\n", pad, g.index(), clamp(g.fexpr(2, true)))
+	case 2:
+		fmt.Fprintf(&g.buf, "%sg1 = (g1 + int(%s)) & 1048575;\n", pad, g.fexpr(2, true))
+	case 3:
+		fmt.Fprintf(&g.buf, "%sa[%s] = (a[%s] + %s) & 1048575;\n", pad, g.index(), g.index(), g.iexpr(2, true))
+	case 4:
+		g.tmp++
+		name := fmt.Sprintf("t%d", g.tmp)
+		fmt.Fprintf(&g.buf, "%svar %s float = %s;\n", pad, name, g.fexpr(2, true))
+		fmt.Fprintf(&g.buf, "%sf2 = %s;\n", pad, clamp("f2 * 0.5 + "+name))
+		g.floats = append(g.floats, name)
+	case 5:
+		// A local declared in a branch goes out of scope with it.
+		floats := len(g.floats)
+		fmt.Fprintf(&g.buf, "%sif (%s < %s) {\n", pad, g.fexpr(1, false), g.fexpr(1, false))
+		g.stmt(pad + "\t")
+		g.floats = g.floats[:floats]
+		fmt.Fprintf(&g.buf, "%s} else {\n", pad)
+		g.stmt(pad + "\t")
+		g.floats = g.floats[:floats]
+		fmt.Fprintf(&g.buf, "%s}\n", pad)
+	case 6:
+		fmt.Fprintf(&g.buf, "%sg1 = (g1 + a[%s] %% 97 + int(fa[%s])) & 1048575;\n", pad, g.index(), g.index())
+	default:
+		fmt.Fprintf(&g.buf, "%sf2 = mix(%s, %s);\n", pad, g.iexpr(1, false), g.fexpr(1, false))
+	}
+}
+
+// Mixed returns the SPL source of a random program that exercises what
+// Generate leaves out: float globals, locals and an array, int<->float
+// casts, the float builtins, and a user function of an int and a float
+// parameter called from inside every loop. Like Generate, the output is
+// deterministic in the seed and ends by printing all observable state.
+// It cannot fault: fsqrt only takes fabs of its argument, every divisor
+// is a nonzero constant, and every float global, array element and mix
+// result is clamped to [-1000, 1000], so no value reaches infinity or
+// leaves int's range.
+func Mixed(seed int64) string {
+	g := &mixed{r: rand.New(rand.NewSource(seed))}
+	g.buf.WriteString("var a int[64];\nvar fa float[64];\nvar g1 int;\nvar f1 float = 0.5;\nvar f2 float;\n\n")
+
+	g.ints, g.floats = []string{"x"}, []string{"y"}
+	g.buf.WriteString("func mix(x int, y float) float {\n")
+	fmt.Fprintf(&g.buf, "\tvar r float = %s;\n", g.fexpr(2, false))
+	fmt.Fprintf(&g.buf, "\tif (r > %s) {\n\t\tr = %s;\n\t}\n", g.fexpr(1, false), g.fexpr(2, false))
+	fmt.Fprintf(&g.buf, "\treturn %s;\n}\n\nfunc main() {\n", clamp("r"))
+
+	nLoops := g.r.Intn(2) + 2
+	for i := 0; i < nLoops; i++ {
+		g.tmp++
+		iv := fmt.Sprintf("i%d", g.tmp)
+		fmt.Fprintf(&g.buf, "\tvar %s int;\n\tfor (%s = 0; %s < %d; %s++) {\n", iv, iv, iv, g.r.Intn(40)+16, iv)
+		g.ints, g.floats = []string{iv}, nil
+		fmt.Fprintf(&g.buf, "\t\tf2 = mix(%s, f1);\n", iv)
+		for k := g.r.Intn(4) + 2; k > 0; k-- {
+			g.stmt("\t\t")
+		}
+		g.buf.WriteString("\t}\n")
+	}
+	g.buf.WriteString("\tvar k int;\n\tvar h int = 0;\n\tvar hf float = 0.0;\n")
+	g.buf.WriteString("\tfor (k = 0; k < 64; k++) { h = (h * 31 + a[k]) & 268435455; hf = hf + fa[k]; }\n")
+	g.buf.WriteString("\tprint(g1, h, int(f1 * 1000.0), int(hf * 1000.0));\n\tprint(f1, f2, hf);\n}\n")
 	return g.buf.String()
 }

@@ -5,10 +5,11 @@
 # Usage: scripts/ab.sh BASE [workload...]
 #   scripts/ab.sh HEAD~1                  # every workload in BENCHMARK.json
 #   AB_PAIRS=10 AB_SEED=2 scripts/ab.sh main suite
+#   AB_TRACE=1 scripts/ab.sh main suite   # per-layer rows from traced runs
 #
 # Checks out the committed files of BASE and HEAD into temporary git
 # worktrees outside the repository (scripts/worktrees.sh), then runs
-#   bash perfbench/run.sh --workload W --seed N --seconds S --trace 0
+#   bash perfbench/run.sh --workload W --seed N --seconds S --trace T
 # in both, with S the run_seconds of BENCHMARK.json, one seed per pair,
 # switching which side runs first from pair to pair. Each side builds
 # from its own checkout on its first run.
@@ -22,9 +23,15 @@
 # the base median by more than the metric's bound. Runs that exit
 # non-zero are listed after the table.
 #
+# With AB_TRACE=1 the runs pass --trace 1, which reports the per-layer
+# metrics of BENCHMARK.json in place of the end-to-end ones; the table
+# then has one row per per-layer metric the runs report, with the same
+# columns but no gain or bound flag.
+#
 # Environment: AB_PAIRS (default 10) pairs per workload; AB_SEED (default
-# 1) the first seed. On exit, also on a signal, the script kills the runs
-# it started and removes the worktrees.
+# 1) the first seed; AB_TRACE (default 0) the --trace value. On exit,
+# also on a signal, the script kills the runs it started and removes the
+# worktrees.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo=$(pwd)
@@ -44,6 +51,11 @@ else
 fi
 pairs=${AB_PAIRS:-10}
 seed0=${AB_SEED:-1}
+traced=${AB_TRACE:-0}
+if [[ $traced != 0 && $traced != 1 ]]; then
+    echo "ab.sh: AB_TRACE must be 0 or 1" >&2
+    exit 2
+fi
 seconds=$(jq -r '.run_seconds' "$bench")
 
 source scripts/worktrees.sh
@@ -61,7 +73,7 @@ run() {
     local side=$1 w=$2 pair=$3 seed=$4 out=$tmp/out.txt status=0
     # In the background, so that a signal interrupts the wait at once.
     (cd "$tmp/$side" && exec bash perfbench/run.sh --workload "$w" --seed "$seed" \
-        --seconds "$seconds" --trace 0) >"$out" 2>"$tmp/err.txt" &
+        --seconds "$seconds" --trace "$traced") >"$out" 2>"$tmp/err.txt" &
     wait $! || status=$?
     if [[ $status -ne 0 ]]; then
         echo "$w seed $seed $side: exit $status: $(tail -n 3 "$tmp/err.txt" | tr '\n' ' ')" >>"$failures"
@@ -127,11 +139,13 @@ for w in "${workloads[@]}"; do
                 else if (bm == hm) ratio = "1.000×"
                 split(won, wn, "/")
                 flag = ""
-                if (bm != 0 && sgn * (bm - hm) / (bm < 0 ? -bm : bm) > bound) flag = sprintf("OUT OF BOUND (%+.1f%%, bound %g%%)", 100 * (hm - bm) / bm, 100 * bound)
+                if (bound == "") flag = ""
+                else if (bm != 0 && sgn * (bm - hm) / (bm < 0 ? -bm : bm) > bound) flag = sprintf("OUT OF BOUND (%+.1f%%, bound %g%%)", 100 * (hm - bm) / bm, 100 * bound)
                 else if (wn[1] >= 0.9 * wn[2] && sgn * (hm - bm) > bq3 - bq1) flag = "gain"
                 printf "| %s | `%s` | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %s | %s | %s |\n", w, m, bm, bq1, bq3, hm, hq1, hq3, won, ratio, flag
             }'
-    done < <(jq -r '.end_to_end[] | [.name, .better, .bound] | @tsv' "$bench")
+    done < <(jq -r --argjson traced "$traced" '(.end_to_end[] | [.name, .better, .bound]),
+        (if $traced == 1 then .per_layer[] | [.name, .better, ""] else empty end) | @tsv' "$bench")
 done
 if [[ -s $failures ]]; then
     echo
